@@ -9,9 +9,10 @@ or off.  This script demonstrates the whole loop:
 * run a small serving sweep twice, untraced and traced, and verify the
   outcome documents are identical;
 * export the captured spans as Chrome-trace-event JSON — open the file
-  at https://ui.perfetto.dev to see the request lifecycle (queue wait,
-  purge stall, execute, scrub) on simulated-cycle tracks alongside the
-  engine's wall-clock work (store I/O, worker dispatch);
+  at https://ui.perfetto.dev to see the request lifecycle (admission,
+  queue wait, purge stall, execute, churn teardown) on simulated-cycle
+  tracks alongside the engine's wall-clock work (store I/O, worker
+  dispatch);
 * print the same data as a latency-breakdown table, the programmatic
   twin of ``repro trace summary``;
 * dump the process metrics registry, the same counters that back the

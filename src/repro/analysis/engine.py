@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.attacks.scenarios import ScenarioOutcome, run_scenario, scenario_names
 from repro.core.config import MI6Config
@@ -569,12 +569,15 @@ class ServiceRunRequest:
         )
 
 
-def resolve_service_cycles(request: ServiceRunRequest) -> Dict[str, int]:
+def resolve_service_cycles(
+    request: Union[ServiceRunRequest, FleetShardRequest, FleetRunRequest],
+) -> Dict[str, int]:
     """Benchmark -> request service cycles, simulated directly.
 
     The session resolves these through the result store instead (cached,
-    parallel); this fallback keeps :func:`execute_service_request` a
-    pure function of the request for pool workers and direct callers.
+    parallel); this fallback keeps the service, shard and fleet
+    executors pure functions of their request for pool workers and
+    direct callers.
     """
     return {
         workload.benchmark: execute_request(workload).cycles
@@ -901,10 +904,7 @@ def execute_fleet_shard_request(request: FleetShardRequest) -> ShardOutcome:
     cycles = (
         dict(request.service_cycles)
         if request.service_cycles is not None
-        else {
-            workload.benchmark: execute_request(workload).cycles
-            for workload in request.workload_requests()
-        }
+        else resolve_service_cycles(request)
     )
     return run_fleet_shard(
         request.config,
@@ -1110,17 +1110,8 @@ class FleetRunRequest:
         )
 
 
-def resolve_fleet_cycles(request: FleetRunRequest) -> Dict[str, int]:
-    """Benchmark -> request service cycles, simulated directly.
-
-    The session resolves these through the result store instead; this
-    fallback keeps :func:`execute_fleet_request` a pure function of the
-    request for direct callers.
-    """
-    return {
-        workload.benchmark: execute_request(workload).cycles
-        for workload in request.workload_requests()
-    }
+#: Fleet requests price their tenants' workloads the same way.
+resolve_fleet_cycles = resolve_service_cycles
 
 
 def _merge_fleet(
@@ -1171,7 +1162,7 @@ def execute_fleet_request(request: FleetRunRequest) -> FleetOutcome:
     cycles = (
         dict(request.service_cycles)
         if request.service_cycles is not None
-        else resolve_fleet_cycles(request)
+        else resolve_service_cycles(request)
     )
     plan = request.shard_plan(cycles)
     outcomes = [
@@ -1588,6 +1579,37 @@ class ParallelRunner:
         self.last_keys = keys
         return results
 
+    def _execute_documents(
+        self,
+        requests: Sequence[Any],
+        kind: str,
+        outcome_type: Any,
+        *,
+        execute: Any,
+        pool_worker: Any,
+    ) -> List[Any]:
+        """:meth:`_execute_through_store` over the store's document layer.
+
+        Outcomes persist as ``outcome_type.to_dict()`` payloads under the
+        store kind ``kind`` and decode with ``outcome_type.from_dict``.
+        """
+
+        def lookup(key: str) -> Any:
+            payload = self.store.get_payload(kind, key)
+            return outcome_type.from_dict(payload) if payload is not None else None
+
+        def persist(key: str, outcome: Any) -> None:
+            self.store.put_payload(kind, key, outcome.to_dict())
+
+        return self._execute_through_store(
+            requests,
+            lookup=lookup,
+            persist=persist,
+            execute=execute,
+            pool_worker=pool_worker,
+            decode=outcome_type.from_dict,
+        )
+
     def run(self, requests: Sequence[RunRequest]) -> List[WorkloadRun]:
         """Execute requests, returning runs in request order."""
         return self._execute_through_store(
@@ -1620,21 +1642,12 @@ class ParallelRunner:
         document layer when warm and fanned out over the process pool on
         cache misses, with identical results either way.
         """
-
-        def lookup(key: str) -> Optional[ScenarioOutcome]:
-            payload = self.store.get_payload(SCENARIO_STORE_KIND, key)
-            return ScenarioOutcome.from_dict(payload) if payload is not None else None
-
-        def persist(key: str, outcome: ScenarioOutcome) -> None:
-            self.store.put_payload(SCENARIO_STORE_KIND, key, outcome.to_dict())
-
-        return self._execute_through_store(
+        return self._execute_documents(
             requests,
-            lookup=lookup,
-            persist=persist,
+            SCENARIO_STORE_KIND,
+            ScenarioOutcome,
             execute=execute_scenario_request,
             pool_worker=_scenario_pool_worker,
-            decode=ScenarioOutcome.from_dict,
         )
 
     def run_scenario_spec(
@@ -1660,21 +1673,12 @@ class ParallelRunner:
         never re-simulates the kernel; requests shipped without a table
         compute it inline (still deterministic, just slower).
         """
-
-        def lookup(key: str) -> Optional[ServiceOutcome]:
-            payload = self.store.get_payload(SERVICE_STORE_KIND, key)
-            return ServiceOutcome.from_dict(payload) if payload is not None else None
-
-        def persist(key: str, outcome: ServiceOutcome) -> None:
-            self.store.put_payload(SERVICE_STORE_KIND, key, outcome.to_dict())
-
-        return self._execute_through_store(
+        return self._execute_documents(
             requests,
-            lookup=lookup,
-            persist=persist,
+            SERVICE_STORE_KIND,
+            ServiceOutcome,
             execute=execute_service_request,
             pool_worker=_service_pool_worker,
-            decode=ServiceOutcome.from_dict,
         )
 
     def run_service_spec(
@@ -1699,21 +1703,12 @@ class ParallelRunner:
         streams are seeded from ``(seed, shard_index)`` alone and
         ``pool.map`` preserves request order.
         """
-
-        def lookup(key: str) -> Optional[ShardOutcome]:
-            payload = self.store.get_payload(FLEET_SHARD_STORE_KIND, key)
-            return ShardOutcome.from_dict(payload) if payload is not None else None
-
-        def persist(key: str, outcome: ShardOutcome) -> None:
-            self.store.put_payload(FLEET_SHARD_STORE_KIND, key, outcome.to_dict())
-
-        return self._execute_through_store(
+        return self._execute_documents(
             requests,
-            lookup=lookup,
-            persist=persist,
+            FLEET_SHARD_STORE_KIND,
+            ShardOutcome,
             execute=execute_fleet_shard_request,
             pool_worker=_fleet_shard_pool_worker,
-            decode=ShardOutcome.from_dict,
         )
 
     def _execute_fleet(self, request: FleetRunRequest) -> FleetOutcome:

@@ -21,7 +21,7 @@ from repro.analysis.harness import (
     runtime_overhead_metric,
 )
 from repro.analysis.store import ResultStore
-from repro.api.requests import FleetRequest, ScenarioRequest, ServiceRequest
+from repro.api.requests import ScenarioRequest, ServiceRequest
 from repro.api.session import coerce_session
 from repro.core.mitigations import VariantLike, config_for_spec
 from repro.core.variants import Variant
@@ -326,38 +326,6 @@ def fleet_saturation_points(rows) -> Dict[str, float]:
         if variant not in best or candidate > best[variant]:
             best[variant] = candidate
     return {variant: -negative_load for variant, (_, negative_load) in best.items()}
-
-
-def fleet_goodput_table(
-    settings: Optional[EvaluationSettings] = None,
-    *,
-    variants: Optional[Tuple[VariantLike, ...]] = None,
-    loads: Optional[Tuple[float, ...]] = None,
-    seeds: Optional[Tuple[int, ...]] = None,
-    jobs: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    **fleet_fields,
-) -> Tuple[str, list]:
-    """Fleet evaluation: goodput vs offered load per mitigation variant.
-
-    Runs the sharded fleet-serving sweep through the Session API —
-    per-request cycle costs, shard outcomes, and merged fleet documents
-    are all served from the session's store when warm — and flattens the
-    outcomes into the rows :func:`repro.analysis.report.format_fleet_table`
-    renders.  Keyword fleet fields (``router``, ``admission``,
-    ``num_shards``, ...) pass through to :class:`FleetRequest`.
-    """
-    settings = settings or EvaluationSettings.from_environment()
-    session = coerce_session(store, jobs)
-    result = session.run(
-        FleetRequest(
-            variants=variants,
-            loads=loads,
-            seeds=seeds if seeds is not None else (settings.seed,),
-            **fleet_fields,
-        )
-    )
-    return FLEET_TABLE_TITLE, fleet_goodput_rows(result.fleet_outcomes)
 
 
 #: Title of the trace latency-breakdown table (``repro trace summary``).

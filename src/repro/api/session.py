@@ -20,7 +20,6 @@ process so BASE runs are computed once, re-pointable by the CLI via
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -357,46 +356,6 @@ class Session:
         return self.run(
             ScenarioRequest(scenarios=scenarios, variants=variants, **fields)
         )
-
-    def serve(
-        self,
-        policies: Optional[Sequence[str]] = None,
-        variants: Optional[Sequence[VariantLike]] = None,
-        **fields: Any,
-    ) -> Result:
-        """Deprecated alias: build a :class:`ServiceRequest` and ``run`` it.
-
-        .. deprecated::
-            ``run`` is the single front door every request type (and the
-            daemon) dispatches through; construct the request directly.
-        """
-        warnings.warn(
-            "Session.serve() is deprecated; use "
-            "Session.run(ServiceRequest(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(ServiceRequest(policies=policies, variants=variants, **fields))
-
-    def serve_fleet(
-        self,
-        variants: Optional[Sequence[VariantLike]] = None,
-        loads: Optional[Sequence[float]] = None,
-        **fields: Any,
-    ) -> Result:
-        """Deprecated alias: build a :class:`FleetRequest` and ``run`` it.
-
-        .. deprecated::
-            ``run`` is the single front door every request type (and the
-            daemon) dispatches through; construct the request directly.
-        """
-        warnings.warn(
-            "Session.serve_fleet() is deprecated; use "
-            "Session.run(FleetRequest(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(FleetRequest(variants=variants, loads=loads, **fields))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,10 +1,12 @@
-"""The per-shard serving loop and the deterministic fleet merge.
+"""The serving event loop and the deterministic fleet merge.
 
-One fleet simulation is N independent shard simulations plus a merge.
-Each shard is a full :mod:`repro.service`-style machine — real enclaves
-through the :class:`~repro.monitor.security_monitor.SecurityMonitor`,
-purge and scrub costs taken from the machine's own counters — extended
-with the three fleet mechanisms:
+:func:`_serve_shard` is the one discrete-event serving loop: a single
+:mod:`repro.service` run is one open-loop shard of it, and one fleet
+simulation is N independent shard simulations plus a merge.  Each shard
+is a full machine — real enclaves through the
+:class:`~repro.monitor.security_monitor.SecurityMonitor`, purge and
+scrub costs taken from the machine's own counters — with the three
+fleet mechanisms:
 
 * a **bounded queue with admission control**: every arrival passes an
   admission policy (:mod:`repro.fleet.admission`) before it may queue,
@@ -69,8 +71,8 @@ PAGE_TABLE_PAGES = 8
 #: loop always charges the machine's measured stall, never this).
 PURGE_STALL_ESTIMATE = 512
 
-#: Event-kind ranks (completions free cores first, then stall-end
-#: wakes, then simultaneous arrivals) — identical to the service loop.
+#: Event-kind ranks: completions free cores first, then stall-end
+#: wakes, then simultaneous arrivals are dispatched.
 _COMPLETE, _WAKE, _ARRIVAL = 0, 1, 2
 
 
@@ -99,16 +101,18 @@ def estimate_boundary_cycles(
     if config.flush_on_context_switch:
         estimate += 2 * PURGE_STALL_ESTIMATE
     if churn_every and config.has_protection_hardware:
-        page_bytes = config.address_map.page_bytes
-        wiped = (loaded_pages + PAGE_TABLE_PAGES) * page_bytes
-        wipe = (
-            -(-wiped // dram_wipe_bytes_per_cycle)
-            if dram_wipe_bytes_per_cycle > 0
-            else 0
-        )
+        wipe = _wipe_cycles(config, loaded_pages, dram_wipe_bytes_per_cycle)
         teardown = MIN_SCRUB_CYCLES + wipe + measurement_cycles_per_page * loaded_pages
         estimate += teardown // churn_every
     return estimate
+
+
+def _wipe_cycles(config: MI6Config, loaded_pages: int, bytes_per_cycle: int) -> int:
+    """Cycles to wipe an enclave's loaded pages plus its page table."""
+    if bytes_per_cycle <= 0:
+        return 0
+    wiped_bytes = (loaded_pages + PAGE_TABLE_PAGES) * config.address_map.page_bytes
+    return -(-wiped_bytes // bytes_per_cycle)
 
 
 @dataclass(frozen=True)
@@ -351,6 +355,47 @@ class _ShardCore:
     installed: Optional[int] = None
     streak: int = 0
     busy_cycles: int = 0
+    charged_purge_cycles: int = 0
+    charged_teardown_cycles: int = 0
+
+
+@dataclass
+class _ShardTally:
+    """Everything one run of :func:`_serve_shard` counted.
+
+    :func:`run_fleet_shard` and
+    :func:`repro.service.simulation.run_service` project it onto their
+    documents.  ``horizon`` is floored at one cycle; ``mean_gap`` is the
+    open-loop arrival gap (None under closed-loop clients).
+    """
+
+    cores: List[_ShardCore]
+    benchmarks: List[str]
+    mean_service: float
+    mean_gap: Optional[int] = None
+    purge_audit: Dict[int, Dict[str, int]] = field(default_factory=dict)
+    latencies: List[int] = field(default_factory=list)
+    offered: int = 0
+    dropped_queue_full: int = 0
+    rejected_deadline: int = 0
+    deadline_misses: int = 0
+    slo_met: int = 0
+    horizon: int = 0
+    switches: int = 0
+    affinity_hits: int = 0
+    queue_peak: int = 0
+    charged_purge_cycles: int = 0
+    charged_scrub_cycles: int = 0
+    charged_wipe_cycles: int = 0
+    charged_measurement_cycles: int = 0
+
+    @property
+    def busy_cycles(self) -> int:
+        return sum(core.busy_cycles for core in self.cores)
+
+    @property
+    def utilization(self) -> float:
+        return self.busy_cycles / (len(self.cores) * self.horizon)
 
 
 def run_fleet_shard(
@@ -421,6 +466,91 @@ def run_fleet_shard(
     tenants = tuple(tenants)
     if not tenants or num_requests < 1:
         return empty_shard_outcome(shard_index, tenants)
+    tally = _serve_shard(
+        config,
+        policy,
+        service_cycles=service_cycles,
+        stream_seed=shard_seed(seed, shard_index),
+        track=f"shard-{shard_index}",
+        shard_index=shard_index,
+        tenants=tenants,
+        num_tenants=num_tenants,
+        load=load,
+        load_profile=load_profile,
+        client=client,
+        num_cores=num_cores,
+        num_requests=num_requests,
+        queue_depth=queue_depth,
+        admission=admission,
+        slo_cycles=slo_cycles,
+        think_factor=think_factor,
+        churn_every=churn_every,
+        dram_wipe_bytes_per_cycle=dram_wipe_bytes_per_cycle,
+        measurement_cycles_per_page=measurement_cycles_per_page,
+    )
+    return ShardOutcome(
+        shard=shard_index,
+        tenants=tenants,
+        offered=tally.offered,
+        admitted=tally.offered - tally.dropped_queue_full - tally.rejected_deadline,
+        completed=len(tally.latencies),
+        dropped_queue_full=tally.dropped_queue_full,
+        rejected_deadline=tally.rejected_deadline,
+        deadline_misses=tally.deadline_misses,
+        slo_met=tally.slo_met,
+        horizon_cycles=tally.horizon,
+        busy_cycles=tally.busy_cycles,
+        utilization=tally.utilization,
+        switches=tally.switches,
+        affinity_hits=tally.affinity_hits,
+        queue_peak=tally.queue_peak,
+        charged_purge_cycles=tally.charged_purge_cycles,
+        charged_scrub_cycles=tally.charged_scrub_cycles,
+        charged_wipe_cycles=tally.charged_wipe_cycles,
+        charged_measurement_cycles=tally.charged_measurement_cycles,
+        latencies=tuple(sorted(tally.latencies)),
+        details={
+            "mean_service_cycles": tally.mean_service,
+            "tenant_benchmarks": list(tally.benchmarks),
+            "num_cores": num_cores,
+        },
+    )
+
+
+def _serve_shard(
+    config: MI6Config,
+    policy: str,
+    *,
+    service_cycles: Mapping[str, int],
+    stream_seed: int,
+    track: str,
+    shard_index: int,
+    tenants: Sequence[int],
+    num_tenants: int,
+    load: float,
+    load_profile: str,
+    client: str,
+    num_cores: int,
+    num_requests: int,
+    queue_depth: int,
+    admission: str,
+    slo_cycles: int,
+    think_factor: float,
+    churn_every: int,
+    dram_wipe_bytes_per_cycle: int,
+    measurement_cycles_per_page: int,
+) -> _ShardTally:
+    """The serving event loop: one machine, one request stream.
+
+    The only discrete-event serving loop in the tree.  A fleet shard
+    runs it with its derived ``stream_seed`` and the fleet's admission,
+    client and teardown settings; a service run
+    (:func:`repro.service.simulation.run_service`) runs it as one
+    open-loop shard that never drops a request.  Arguments are as for
+    :func:`run_fleet_shard`; ``stream_seed`` seeds the machine and the
+    arrival streams directly, and trace tracks are named under
+    ``track``.
+    """
     model = client_model(client)
     benchmarks_all = tenant_benchmarks(num_tenants)
     local_benchmarks = [benchmarks_all[tenant] for tenant in tenants]
@@ -430,40 +560,23 @@ def run_fleet_shard(
             f"service_cycles is missing benchmarks: {', '.join(missing)}"
         )
     scheduler = create_policy(policy)
-    local_count = len(tenants)
-    stream_seed = shard_seed(seed, shard_index)
+    local_count = len(local_benchmarks)
     fleet = _Fleet(config, num_cores, local_count, stream_seed)
     charge_purge = config.flush_on_context_switch
     charge_teardown = config.has_protection_hardware
-    page_bytes = config.address_map.page_bytes
-    # Tracing is inert: resolved once per shard simulation, timestamps
-    # are event-loop cycles only, and no span reaches the outcome or
-    # its cache key.
+    # Tracing is inert: resolved once per simulation, timestamps are
+    # event-loop cycles only, and no span reaches the outcome or its
+    # cache key.
     tracer = active_tracer()
     variant = config.name
-    shard_track = f"shard-{shard_index}"
 
     mean_service = sum(service_cycles[name] for name in local_benchmarks) / local_count
-
     cores = [_ShardCore(core_id=index) for index in range(num_cores)]
+    tally = _ShardTally(cores=cores, benchmarks=local_benchmarks, mean_service=mean_service)
     pending: List[_ShardPending] = []
     in_service: set = set()
     installed_core: Dict[int, int] = {}
-    latencies: List[int] = []
     completions_per_tenant: Dict[int, int] = {}
-    switches = 0
-    affinity_hits = 0
-    charged_purge_total = 0
-    charged_scrub_total = 0
-    charged_wipe_total = 0
-    charged_measurement_total = 0
-    offered = 0
-    dropped_queue_full = 0
-    rejected_deadline = 0
-    deadline_misses = 0
-    slo_met = 0
-    horizon = 0
-    queue_peak = 0
 
     events: List[Tuple[int, int, int, Any]] = []
     wake_counter = 0
@@ -472,7 +585,7 @@ def run_fleet_shard(
     think_mean = max(1.0, think_factor * mean_service)
 
     def issue(client_id: Optional[int], tenant: int, when: int) -> None:
-        """Push one arrival if the shard's request budget allows it."""
+        """Push one arrival if the request budget allows it."""
         nonlocal issued
         if issued >= num_requests:
             return
@@ -492,6 +605,7 @@ def run_fleet_shard(
             )
     else:
         mean_gap = max(1, int(round(mean_service / (load * num_cores))))
+        tally.mean_gap = mean_gap
         for arrival in generate_arrivals(
             load_profile,
             num_requests=num_requests,
@@ -502,7 +616,12 @@ def run_fleet_shard(
             issue(None, arrival.tenant, arrival.time)
 
     def wake_at(when: int) -> None:
-        """Re-run dispatch when a post-completion stall ends."""
+        """Re-run dispatch when a post-completion stall ends.
+
+        A release or teardown stall pushes ``busy_until`` past the
+        current event time; without a wake event a stalled core could
+        strand queued requests once the arrival stream has drained.
+        """
         nonlocal wake_counter
         wake_counter += 1
         heapq.heappush(events, (when, _WAKE, wake_counter, None))
@@ -515,9 +634,8 @@ def run_fleet_shard(
 
     def install(core: _ShardCore, tenant: int) -> int:
         """Point ``core`` at ``tenant``'s enclave; returns charged cycles."""
-        nonlocal switches, affinity_hits, charged_purge_total
         if core.installed == tenant:
-            affinity_hits += 1
+            tally.affinity_hits += 1
             return 0
         cost = 0
         if core.installed is not None:
@@ -533,13 +651,13 @@ def run_fleet_shard(
         core.installed = tenant
         core.streak = 0
         installed_core[tenant] = core.core_id
-        switches += 1
-        charged_purge_total += cost
+        tally.switches += 1
+        core.charged_purge_cycles += cost
+        tally.charged_purge_cycles += cost
         return cost
 
     def release(core: _ShardCore, now: int) -> None:
         """Eagerly deschedule the core's enclave (FIFO-style policies)."""
-        nonlocal charged_purge_total
         if core.installed is None:
             return
         tenant = core.installed
@@ -551,14 +669,15 @@ def run_fleet_shard(
         core.streak = 0
         if charge_purge:
             stall = result.purge_stall_cycles
-            charged_purge_total += stall
+            core.charged_purge_cycles += stall
+            tally.charged_purge_cycles += stall
             core.busy_until = now + stall
             core.busy_cycles += stall
             wake_at(core.busy_until)
             if tracer is not None:
                 tracer.sim_span(
                     "purge-stall",
-                    f"{shard_track}/core-{core.core_id}",
+                    f"{track}/core-{core.core_id}",
                     now,
                     now + stall,
                     tenant=tenant,
@@ -570,12 +689,11 @@ def run_fleet_shard(
         """Tear down and relaunch a tenant's enclave, charging teardown.
 
         The scrub charge is measured from the machine's scrub counter
-        (floored as in the service loop); the DRAM wipe covers the
+        (floored at :data:`MIN_SCRUB_CYCLES`); the DRAM wipe covers the
         enclave's loaded pages plus its page table at the configured
         bandwidth, and the measurement charge re-hashes every loaded
         page on relaunch.  All three occupy the completing core.
         """
-        nonlocal charged_scrub_total, charged_wipe_total, charged_measurement_total
         if core.installed == tenant:
             installed_core.pop(tenant, None)
             core.installed = None
@@ -585,24 +703,20 @@ def run_fleet_shard(
             return
         scrub = max(MIN_SCRUB_CYCLES, scrubbed)
         loaded = len(fleet.enclaves[tenant].loaded_pages)
-        wiped_bytes = (loaded + PAGE_TABLE_PAGES) * page_bytes
-        wipe = (
-            -(-wiped_bytes // dram_wipe_bytes_per_cycle)
-            if dram_wipe_bytes_per_cycle > 0
-            else 0
-        )
+        wipe = _wipe_cycles(config, loaded, dram_wipe_bytes_per_cycle)
         measurement = measurement_cycles_per_page * loaded
-        charged_scrub_total += scrub
-        charged_wipe_total += wipe
-        charged_measurement_total += measurement
+        tally.charged_scrub_cycles += scrub
+        tally.charged_wipe_cycles += wipe
+        tally.charged_measurement_cycles += measurement
         stall = scrub + wipe + measurement
+        core.charged_teardown_cycles += stall
         core.busy_until = now + stall
         core.busy_cycles += stall
         wake_at(core.busy_until)
         if tracer is not None:
             tracer.sim_span(
                 "teardown",
-                f"{shard_track}/core-{core.core_id}",
+                f"{track}/core-{core.core_id}",
                 now,
                 now + stall,
                 tenant=tenant,
@@ -640,10 +754,10 @@ def run_fleet_shard(
                 in_service.add(choice.tenant)
                 heapq.heappush(events, (completion, _COMPLETE, choice.seq, (core, choice)))
                 if tracer is not None:
-                    track = f"{shard_track}/core-{core.core_id}"
+                    core_track = f"{track}/core-{core.core_id}"
                     tracer.sim_span(
                         "queue",
-                        f"{shard_track}/queue",
+                        f"{track}/queue",
                         choice.arrival,
                         now,
                         tenant=choice.tenant,
@@ -654,7 +768,7 @@ def run_fleet_shard(
                     if cost:
                         tracer.sim_span(
                             "purge-stall",
-                            track,
+                            core_track,
                             now,
                             now + cost,
                             tenant=choice.tenant,
@@ -664,7 +778,7 @@ def run_fleet_shard(
                         )
                     tracer.sim_span(
                         "execute",
-                        track,
+                        core_track,
                         now + cost,
                         completion,
                         tenant=choice.tenant,
@@ -677,7 +791,7 @@ def run_fleet_shard(
     while events:
         now, kind, _seq, payload = heapq.heappop(events)
         if kind == _ARRIVAL:
-            offered += 1
+            tally.offered += 1
             reason = admit(
                 admission,
                 AdmissionContext(
@@ -692,7 +806,7 @@ def run_fleet_shard(
             if tracer is not None:
                 tracer.sim_event(
                     "admit",
-                    f"{shard_track}/admission",
+                    f"{track}/admission",
                     now,
                     outcome=reason if reason is not None else "admitted",
                     tenant=payload.tenant,
@@ -701,30 +815,30 @@ def run_fleet_shard(
                     variant=variant,
                 )
             if reason == REJECT_QUEUE_FULL:
-                dropped_queue_full += 1
+                tally.dropped_queue_full += 1
                 reissue(payload.client, now)
             elif reason is not None:
-                rejected_deadline += 1
+                tally.rejected_deadline += 1
                 reissue(payload.client, now)
             else:
                 # Arrival pops come off the heap in time order, so
                 # appending keeps `pending` time-ordered — the order
                 # every scheduling policy scans in.
                 pending.append(payload)
-                queue_peak = max(queue_peak, len(pending))
+                tally.queue_peak = max(tally.queue_peak, len(pending))
         elif kind == _COMPLETE:
             core, request = payload
             in_service.discard(request.tenant)
             latency = now - request.arrival
-            latencies.append(latency)
+            tally.latencies.append(latency)
             if latency <= slo_cycles:
-                slo_met += 1
+                tally.slo_met += 1
             else:
-                deadline_misses += 1
+                tally.deadline_misses += 1
             if tracer is not None:
                 tracer.sim_event(
                     "complete",
-                    f"{shard_track}/core-{core.core_id}",
+                    f"{track}/core-{core.core_id}",
                     now,
                     tenant=request.tenant,
                     seq=request.seq,
@@ -733,45 +847,19 @@ def run_fleet_shard(
                     shard=shard_index,
                     variant=variant,
                 )
-            horizon = max(horizon, now)
-            tally = completions_per_tenant.get(request.tenant, 0) + 1
-            completions_per_tenant[request.tenant] = tally
-            if churn_every and tally % churn_every == 0:
+            tally.horizon = max(tally.horizon, now)
+            completions = completions_per_tenant.get(request.tenant, 0) + 1
+            completions_per_tenant[request.tenant] = completions
+            if churn_every and completions % churn_every == 0:
                 churn(core, request.tenant, now)
             elif scheduler.eager_release:
                 release(core, now)
             reissue(request.client, now)
         dispatch(now)
 
-    horizon = max(horizon, 1)
-    busy_total = sum(core.busy_cycles for core in cores)
-    return ShardOutcome(
-        shard=shard_index,
-        tenants=tenants,
-        offered=offered,
-        admitted=offered - dropped_queue_full - rejected_deadline,
-        completed=len(latencies),
-        dropped_queue_full=dropped_queue_full,
-        rejected_deadline=rejected_deadline,
-        deadline_misses=deadline_misses,
-        slo_met=slo_met,
-        horizon_cycles=horizon,
-        busy_cycles=busy_total,
-        utilization=busy_total / (num_cores * horizon),
-        switches=switches,
-        affinity_hits=affinity_hits,
-        queue_peak=queue_peak,
-        charged_purge_cycles=charged_purge_total,
-        charged_scrub_cycles=charged_scrub_total,
-        charged_wipe_cycles=charged_wipe_total,
-        charged_measurement_cycles=charged_measurement_total,
-        latencies=tuple(sorted(latencies)),
-        details={
-            "mean_service_cycles": mean_service,
-            "tenant_benchmarks": list(local_benchmarks),
-            "num_cores": num_cores,
-        },
-    )
+    tally.horizon = max(tally.horizon, 1)
+    tally.purge_audit = fleet.machine.purge_audit()
+    return tally
 
 
 def merge_shard_outcomes(

@@ -205,9 +205,6 @@ class SetAssociativeCache:
         """Replacement policy instance."""
         return self._policy
 
-    def _default_index(self, physical_address: int) -> int:
-        return self.geometry.line_address(physical_address) & (self.geometry.num_sets - 1)
-
     def set_index(self, physical_address: int) -> int:
         """Set index a physical address maps to."""
         return self._index_for(physical_address)

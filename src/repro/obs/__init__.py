@@ -4,8 +4,8 @@ The observability subsystem is strictly *out-of-band*: it watches the
 reproduction, it never feeds it.  Three modules:
 
 * :mod:`repro.obs.trace` — spans.  Simulated-cycle spans record the
-  serving layers' request lifecycle (queue wait, purge stall, execute,
-  scrub/teardown) with timestamps taken from the event loop's integer
+  serving loop's request lifecycle (admission, queue wait, purge stall,
+  execute, churn teardown) with timestamps taken from its integer
   cycle counter; wall-clock spans record engine work (store I/O, worker
   dispatch, HTTP handling) against the process clock.  The wall clock
   lives *here* — simulation packages never import ``time``; the

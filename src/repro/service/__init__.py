@@ -14,8 +14,10 @@ become throughput and tail-latency numbers under tenant churn.
   diurnal arrival processes;
 * :mod:`repro.service.schedulers` — the scheduling-policy registry
   (``fifo``, ``affinity``, ``batch``);
-* :mod:`repro.service.simulation` — the discrete-event loop and the
-  JSON-serialisable :class:`~repro.service.simulation.ServiceOutcome`;
+* :mod:`repro.service.simulation` — :func:`run_service`, one open-loop
+  shard of the fleet's serving loop (:mod:`repro.fleet.simulation`),
+  and the JSON-serialisable
+  :class:`~repro.service.simulation.ServiceOutcome`;
 * :mod:`repro.service.metrics` — latency percentile helpers.
 
 Entry points: ``Session.run(ServiceRequest(...))`` for cached, parallel

@@ -9,6 +9,13 @@ are exercised functionally on every switch), and per-request service
 demand is the cycle count of the tenant's calibrated workload on this
 exact machine configuration, taken from the cycle kernel.
 
+The event loop is the fleet's shard loop
+(:func:`repro.fleet.simulation._serve_shard`): a service run is one
+open-loop shard that never drops a request, and :func:`run_service`
+projects the loop's tally onto a :class:`ServiceOutcome`.  This module
+keeps the machine set-up both share (:class:`_Fleet`) and the tenant
+workload assignment.
+
 Timing model (all integer cycles):
 
 * **service** — ``service_cycles[benchmark]``: the cycles the cycle
@@ -35,20 +42,17 @@ result store.
 
 from __future__ import annotations
 
-import heapq
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.core.config import MI6Config
 from repro.monitor.enclave import Enclave
-from repro.obs.trace import active_tracer
 from repro.monitor.security_monitor import SecurityMonitor
 from repro.os_model.kernel import UntrustedOS
 from repro.os_model.machine import Machine
-from repro.service.arrivals import generate_arrivals
 from repro.service.metrics import summarize_latencies, throughput_per_mcycle
-from repro.service.schedulers import QueueView, create_policy
 from repro.workloads.spec_cint2006 import benchmark_names
 
 #: Default instruction budget of one request (kept short: fine-grained
@@ -66,10 +70,6 @@ DEFAULT_SERVICE_TENANTS = 6
 #: Floor on the charged LLC scrub penalty per churned region (a scrub
 #: walks the region's sets even when few lines are resident).
 MIN_SCRUB_CYCLES = 64
-
-#: Event-kind ranks: completions free cores first, then stall-end wakes,
-#: then simultaneous arrivals are dispatched.
-_COMPLETE, _WAKE, _ARRIVAL = 0, 1, 2
 
 
 def tenant_benchmarks(num_tenants: int) -> Tuple[str, ...]:
@@ -191,28 +191,6 @@ class ServiceOutcome:
         )
 
 
-@dataclass
-class _Pending:
-    """One queued request."""
-
-    seq: int
-    tenant: int
-    arrival: int
-
-
-@dataclass
-class _CoreState:
-    """Serving-side view of one core."""
-
-    core_id: int
-    busy_until: int = 0
-    installed: Optional[int] = None  # tenant id of the resident enclave
-    streak: int = 0
-    busy_cycles: int = 0
-    charged_purge_cycles: int = 0
-    charged_flush_cycles: int = 0
-
-
 class _Fleet:
     """The machine, monitor, and tenant enclaves behind one simulation."""
 
@@ -296,228 +274,36 @@ def run_service(
         raise ConfigurationError("load must be positive")
     if num_cores < 1:
         raise ConfigurationError("num_cores must be positive")
-    benchmarks = tenant_benchmarks(num_tenants)
-    missing = sorted(set(benchmarks) - set(service_cycles))
-    if missing:
-        raise ConfigurationError(
-            f"service_cycles is missing benchmarks: {', '.join(missing)}"
-        )
-    scheduler = create_policy(policy)
-    fleet = _Fleet(config, num_cores, num_tenants, seed)
-    charge_purge = config.flush_on_context_switch
-    charge_flush = config.has_protection_hardware
-    # Tracing is inert: the tracer is resolved once per simulation (not
-    # per event), span timestamps come from the event loop's integer
-    # cycle counter only, and nothing recorded here reaches the outcome
-    # or its cache key.
-    tracer = active_tracer()
-    variant = config.name
+    # Imported here: repro.fleet builds on this module (tenant_benchmarks,
+    # _Fleet), so a module-level import would be circular.
+    from repro.fleet.simulation import _serve_shard
 
-    mean_service = sum(service_cycles[name] for name in benchmarks) / num_tenants
-    mean_gap = max(1, int(round(mean_service / (load * num_cores))))
-    arrivals = generate_arrivals(
-        load_profile,
-        num_requests=num_requests,
+    # One open-loop shard that never drops a request: the queue holds
+    # the whole stream, there is no SLO, and churn charges only the
+    # floored LLC scrub (no DRAM-wipe or measurement charge).
+    tally = _serve_shard(
+        config,
+        policy,
+        service_cycles=service_cycles,
+        stream_seed=seed,
+        track="service",
+        shard_index=0,
+        tenants=range(num_tenants),
         num_tenants=num_tenants,
-        mean_gap_cycles=mean_gap,
-        seed=seed,
+        load=load,
+        load_profile=load_profile,
+        client="open_loop",
+        num_cores=num_cores,
+        num_requests=num_requests,
+        queue_depth=num_requests,
+        admission="drop_on_full",
+        slo_cycles=sys.maxsize,
+        think_factor=0.0,
+        churn_every=churn_every,
+        dram_wipe_bytes_per_cycle=0,
+        measurement_cycles_per_page=0,
     )
-
-    cores = [_CoreState(core_id=index) for index in range(num_cores)]
-    pending: List[_Pending] = []
-    in_service: set = set()
-    installed_core: Dict[int, int] = {}
-    latencies: List[int] = []
-    completions_per_tenant: Dict[int, int] = {}
-    switches = 0
-    affinity_hits = 0
-    charged_purge_total = 0
-    charged_flush_total = 0
-    horizon = 0
-    queue_peak = 0
-
-    events: List[Tuple[int, int, int, Any]] = []
-    for seq, arrival in enumerate(arrivals):
-        heapq.heappush(
-            events, (arrival.time, _ARRIVAL, seq, _Pending(seq, arrival.tenant, arrival.time))
-        )
-    wake_counter = 0
-
-    def wake_at(when: int) -> None:
-        """Re-run dispatch when a post-completion stall ends.
-
-        A release or scrub stall pushes ``busy_until`` past the current
-        event time; without a wake event a stalled core could strand
-        queued requests once the arrival stream has drained.
-        """
-        nonlocal wake_counter
-        wake_counter += 1
-        heapq.heappush(events, (when, _WAKE, wake_counter, None))
-
-    def charge(core: _CoreState, stall: int, *, flush: bool = False) -> int:
-        nonlocal charged_purge_total, charged_flush_total
-        if flush:
-            core.charged_flush_cycles += stall
-            charged_flush_total += stall
-        else:
-            core.charged_purge_cycles += stall
-            charged_purge_total += stall
-        return stall
-
-    def install(core: _CoreState, tenant: int) -> int:
-        """Point ``core`` at ``tenant``'s enclave; returns charged cycles."""
-        nonlocal switches, affinity_hits
-        if core.installed == tenant:
-            affinity_hits += 1
-            return 0
-        cost = 0
-        if core.installed is not None:
-            result = fleet.monitor.deschedule_enclave(
-                fleet.enclaves[core.installed], core.core_id
-            )
-            installed_core.pop(core.installed, None)
-            if charge_purge:
-                cost += charge(core, result.purge_stall_cycles)
-        result = fleet.monitor.schedule_enclave(fleet.enclaves[tenant], core.core_id)
-        if charge_purge:
-            cost += charge(core, result.purge_stall_cycles)
-        core.installed = tenant
-        core.streak = 0
-        installed_core[tenant] = core.core_id
-        switches += 1
-        return cost
-
-    def release(core: _CoreState, now: int) -> None:
-        """Eagerly deschedule the core's enclave (FIFO-style policies)."""
-        if core.installed is None:
-            return
-        tenant = core.installed
-        result = fleet.monitor.deschedule_enclave(
-            fleet.enclaves[core.installed], core.core_id
-        )
-        installed_core.pop(core.installed, None)
-        core.installed = None
-        core.streak = 0
-        if charge_purge:
-            stall = charge(core, result.purge_stall_cycles)
-            core.busy_until = now + stall
-            core.busy_cycles += stall
-            wake_at(core.busy_until)
-            if tracer is not None:
-                tracer.sim_span(
-                    "purge-stall",
-                    f"service/core-{core.core_id}",
-                    now,
-                    now + stall,
-                    tenant=tenant,
-                    variant=variant,
-                )
-
-    def dispatch(now: int) -> None:
-        progress = True
-        while progress and pending:
-            progress = False
-            view = QueueView(pending, in_service, installed_core)
-            for core in cores:
-                if core.busy_until > now or not pending:
-                    continue
-                choice = scheduler.pick(core, view)
-                if choice is None:
-                    continue
-                pending.remove(choice)
-                cost = install(core, choice.tenant)
-                core.streak += 1
-                service = service_cycles[benchmarks[choice.tenant]]
-                completion = now + cost + service
-                core.busy_until = completion
-                core.busy_cycles += cost + service
-                in_service.add(choice.tenant)
-                heapq.heappush(events, (completion, _COMPLETE, choice.seq, (core, choice)))
-                if tracer is not None:
-                    track = f"service/core-{core.core_id}"
-                    tracer.sim_span(
-                        "queue",
-                        "service/queue",
-                        choice.arrival,
-                        now,
-                        tenant=choice.tenant,
-                        seq=choice.seq,
-                        variant=variant,
-                    )
-                    if cost:
-                        tracer.sim_span(
-                            "purge-stall",
-                            track,
-                            now,
-                            now + cost,
-                            tenant=choice.tenant,
-                            seq=choice.seq,
-                            variant=variant,
-                        )
-                    tracer.sim_span(
-                        "execute",
-                        track,
-                        now + cost,
-                        completion,
-                        tenant=choice.tenant,
-                        seq=choice.seq,
-                        variant=variant,
-                    )
-                progress = True
-
-    while events:
-        now, kind, _seq, payload = heapq.heappop(events)
-        if kind == _ARRIVAL:
-            # Arrival pops come off the heap in (time, seq) order and
-            # arrival times are nondecreasing in seq, so appending keeps
-            # `pending` in seq order — the order every policy scans in.
-            pending.append(payload)
-            queue_peak = max(queue_peak, len(pending))
-        elif kind == _COMPLETE:
-            core, request = payload
-            in_service.discard(request.tenant)
-            latencies.append(now - request.arrival)
-            if tracer is not None:
-                tracer.sim_event(
-                    "complete",
-                    f"service/core-{core.core_id}",
-                    now,
-                    tenant=request.tenant,
-                    seq=request.seq,
-                    latency_cycles=now - request.arrival,
-                    variant=variant,
-                )
-            horizon = max(horizon, now)
-            tally = completions_per_tenant.get(request.tenant, 0) + 1
-            completions_per_tenant[request.tenant] = tally
-            if churn_every and tally % churn_every == 0:
-                # Tenant churn: the enclave is torn down and relaunched;
-                # the monitor deschedules (the core frees), scrubs the
-                # regions' LLC sets, and the scrub occupies the core.
-                if core.installed == request.tenant:
-                    installed_core.pop(request.tenant, None)
-                    core.installed = None
-                    core.streak = 0
-                scrubbed = fleet.recreate_enclave(request.tenant)
-                if charge_flush:
-                    stall = charge(core, max(MIN_SCRUB_CYCLES, scrubbed), flush=True)
-                    core.busy_until = now + stall
-                    core.busy_cycles += stall
-                    wake_at(core.busy_until)
-                    if tracer is not None:
-                        tracer.sim_span(
-                            "scrub",
-                            f"service/core-{core.core_id}",
-                            now,
-                            now + stall,
-                            tenant=request.tenant,
-                            variant=variant,
-                        )
-            elif scheduler.eager_release:
-                release(core, now)
-        dispatch(now)
-
-    audit = fleet.machine.purge_audit()
+    audit = tally.purge_audit
     per_core = [
         {
             "core": core.core_id,
@@ -525,12 +311,11 @@ def run_service(
             "purge_stall_cycles": audit[core.core_id]["purge_stall_cycles"],
             "busy_cycles": core.busy_cycles,
             "charged_purge_cycles": core.charged_purge_cycles,
-            "charged_flush_cycles": core.charged_flush_cycles,
+            "charged_flush_cycles": core.charged_teardown_cycles,
         }
-        for core in cores
+        for core in tally.cores
     ]
-    horizon = max(horizon, 1)
-    busy_total = sum(core.busy_cycles for core in cores)
+    completed = len(tally.latencies)
     return ServiceOutcome(
         policy=policy,
         variant=config.name,
@@ -539,25 +324,25 @@ def run_service(
         load_profile=load_profile,
         num_cores=num_cores,
         num_tenants=num_tenants,
-        requests=len(latencies),
-        horizon_cycles=horizon,
-        throughput_rpmc=throughput_per_mcycle(len(latencies), horizon),
-        latency=summarize_latencies(latencies),
-        utilization=busy_total / (num_cores * horizon),
-        switches=switches,
-        affinity_hits=affinity_hits,
+        requests=completed,
+        horizon_cycles=tally.horizon,
+        throughput_rpmc=throughput_per_mcycle(completed, tally.horizon),
+        latency=summarize_latencies(tally.latencies),
+        utilization=tally.utilization,
+        switches=tally.switches,
+        affinity_hits=tally.affinity_hits,
         purge_count=sum(row["purge_count"] for row in per_core),
         purge_stall_cycles=sum(row["purge_stall_cycles"] for row in per_core),
-        charged_purge_cycles=charged_purge_total,
-        charged_flush_cycles=charged_flush_total,
+        charged_purge_cycles=tally.charged_purge_cycles,
+        charged_flush_cycles=tally.charged_scrub_cycles,
         per_core=per_core,
         details={
-            "mean_gap_cycles": mean_gap,
-            "mean_service_cycles": mean_service,
-            "queue_peak": queue_peak,
+            "mean_gap_cycles": tally.mean_gap,
+            "mean_service_cycles": tally.mean_service,
+            "queue_peak": tally.queue_peak,
             "instructions_per_request": instructions,
             "churn_every": churn_every,
-            "tenant_benchmarks": list(benchmarks),
-            "service_cycles": {name: service_cycles[name] for name in sorted(set(benchmarks))},
+            "tenant_benchmarks": list(tally.benchmarks),
+            "service_cycles": {name: service_cycles[name] for name in sorted(set(tally.benchmarks))},
         },
     )
