@@ -20,6 +20,11 @@ the purge stalls the core for 512 cycles regardless of program state.
 The shared LLC is *not* flushed: its sets are partitioned by DRAM region
 and are scrubbed only when physical memory changes owner
 (:meth:`repro.mem.llc.LastLevelCache.scrub_region_sets`).
+
+The simulated stall is data independent, but the host work is not: the
+cache and TLB flushes touch only resident state, so flushing an already
+empty L1 or TLB costs a count, not a reallocation.  (The predictor tables
+are still rewritten in full on every purge.)
 """
 
 from __future__ import annotations

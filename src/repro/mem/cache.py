@@ -35,6 +35,7 @@ Two storage layouts back the same public API:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Dict, List, Optional
 
 from repro.common.fastpath import slow_path_enabled
@@ -188,6 +189,7 @@ class SetAssociativeCache:
             self.probe = self._probe_slab  # type: ignore[method-assign]
             self.lookup = self._lookup_slab  # type: ignore[method-assign]
             self.invalidate_address = self._invalidate_address_slab  # type: ignore[method-assign]
+            self.invalidate_tag_range = self._invalidate_tag_range_slab  # type: ignore[method-assign]
             self.flush_all = self._flush_all_slab  # type: ignore[method-assign]
         else:
             self._sets = [
@@ -567,14 +569,52 @@ class SetAssociativeCache:
             self._policy.note_set_empty(set_index)
         return True
 
+    def _invalidate_tag_range_slab(
+        self,
+        low_tag: int,
+        high_tag: int,
+        check_other: Callable[[int], object],
+    ) -> int:
+        tags = self._slab_tags
+        valid_counts = self._valid_counts
+        ways = self._ways
+        policy = self._policy
+        invalidated = 0
+        # Empty sets hold nothing to visit; compress() skips them at C
+        # speed, so an empty cache costs one pass over the valid counts.
+        for set_index in compress(range(len(valid_counts)), valid_counts):
+            base = set_index * ways
+            tag_map = self._tag_maps[set_index]
+            for slot in range(base, base + ways):
+                tag = tags[slot]
+                if tag is None:
+                    continue
+                if low_tag <= tag < high_tag:
+                    del tag_map[tag]
+                    tags[slot] = None
+                    self._slab_dirty[slot] = False
+                    self._slab_owners[slot] = None
+                    remaining = valid_counts[set_index] - 1
+                    valid_counts[set_index] = remaining
+                    policy.invalidate(set_index, slot - base)
+                    if self._self_cleaning and remaining == 0:
+                        policy.note_set_empty(set_index)
+                    invalidated += 1
+                else:
+                    check_other(tag)
+        return invalidated
+
     def _flush_all_slab(self) -> int:
         flushed = sum(self._valid_counts)
-        total = len(self._slab_tags)
-        self._slab_tags = [None] * total
-        self._slab_dirty = [False] * total
-        self._slab_owners = [None] * total
-        self._tag_maps = [{} for _ in range(self.geometry.num_sets)]
-        self._valid_counts = [0] * self.geometry.num_sets
+        if flushed:
+            # Invalidation already clears a slot's tag, dirty bit and
+            # owner, so an empty cache's slabs are in the reset state.
+            total = len(self._slab_tags)
+            self._slab_tags = [None] * total
+            self._slab_dirty = [False] * total
+            self._slab_owners = [None] * total
+            self._tag_maps = [{} for _ in range(self.geometry.num_sets)]
+            self._valid_counts = [0] * self.geometry.num_sets
         self._policy.reset()
         self._stats.counter(f"{self.name}.flush_lines").increment(flushed)
         return flushed
@@ -593,6 +633,34 @@ class SetAssociativeCache:
                 self._note_if_set_empty(set_index)
                 return True
         return False
+
+    def invalidate_tag_range(
+        self,
+        low_tag: int,
+        high_tag: int,
+        check_other: Callable[[int], object],
+    ) -> int:
+        """Invalidate every resident line whose tag lies in ``[low_tag, high_tag)``.
+
+        Sets, then ways, are visited in ascending order and each line is
+        invalidated exactly as :meth:`invalidate_address` would.
+        ``check_other`` is called with every resident tag outside the
+        range, so a caller can reject tags it cannot place.  Returns the
+        number of lines invalidated.
+        """
+        invalidated = 0
+        for set_index, lines in enumerate(self._sets):
+            for way, line in enumerate(lines):
+                if not line.valid:
+                    continue
+                if low_tag <= line.tag < high_tag:
+                    lines[way] = CacheLine()
+                    self._policy.invalidate(set_index, way)
+                    self._note_if_set_empty(set_index)
+                    invalidated += 1
+                else:
+                    check_other(line.tag)
+        return invalidated
 
     def flush_all(self) -> int:
         """Invalidate every line; returns the number of valid lines flushed.

@@ -11,6 +11,10 @@ captures the properties the evaluation depends on:
 * an extra pipeline-entry latency that models the round-robin arbiter of
   the MI6 LLC (Figure 11, ``N/2`` cycles for an ``N``-core machine).
 
+Region scrubs (:meth:`LastLevelCache.scrub_region_sets`) cost host time
+in proportion to the lines actually resident, not to the tag array's
+capacity; what they model (which lines leave the cache) is unchanged.
+
 The message-level microarchitecture of the LLC (UQ/DQ FIFOs, Downgrade-L1
 logic, retry bit, per-core entry muxes) lives in
 :mod:`repro.mem.llc_detail` and is used for the strong-timing-independence
@@ -219,16 +223,28 @@ class LastLevelCache:
         re-allocated to a new protection domain; the security monitor
         calls this before handing a DRAM region to a new owner.  Returns
         the number of lines invalidated.
+
+        The region is a contiguous range of line tags, so the scrub is one
+        tag-range invalidation whose host cost scales with the lines
+        actually resident (an empty LLC costs one pass over the per-set
+        valid counts).  A resident line outside DRAM still raises the
+        address map's :class:`ConfigurationError`, and a region that does
+        not exist scrubs nothing.
         """
-        scrubbed = 0
-        for set_index in range(self.config.geometry.num_sets):
-            for line in self._cache.set_contents(set_index):
-                if not line.valid:
-                    continue
-                physical_address = line.tag << self.config.geometry.offset_bits
-                if self.address_map.region_of(physical_address) == region:
-                    if self._cache.invalidate_address(physical_address):
-                        scrubbed += 1
+        address_map = self.address_map
+        offset_bits = self.config.geometry.offset_bits
+        if 0 <= region < address_map.num_regions:
+            base = address_map.region_base(region)
+            end = base + address_map.region_bytes
+            # Ceiling division: the first line tag at or above each bound.
+            low_tag = -(-base >> offset_bits)
+            high_tag = -(-end >> offset_bits)
+        else:
+            low_tag = high_tag = 0
+        # region_of raises for a resident line outside DRAM.
+        scrubbed = self._cache.invalidate_tag_range(
+            low_tag, high_tag, lambda tag: address_map.region_of(tag << offset_bits)
+        )
         self._stats.counter("llc.region_scrub_lines").increment(scrubbed)
         return scrubbed
 

@@ -117,9 +117,12 @@ class Tlb:
         security monitor forces when protection domains change
         (Section 6.2).
         """
-        flushed = sum(len(entries) for entries in self._sets)
-        self._sets = [[] for _ in range(self.num_sets)]
-        self._asid_of.clear()
+        # Every resident VPN has exactly one ASID entry (fill() adds it,
+        # eviction removes it), so the dict's size is the resident count.
+        flushed = len(self._asid_of)
+        if flushed:
+            self._sets = [[] for _ in range(self.num_sets)]
+            self._asid_of.clear()
         self._stats.counter(f"{self.name}.flush_entries").increment(flushed)
         return flushed
 
@@ -205,7 +208,8 @@ class TranslationCache:
     def flush_all(self) -> int:
         """Discard all cached walk steps; returns entries flushed."""
         flushed = sum(len(entries) for entries in self._levels)
-        self._levels = [[] for _ in range(self.levels)]
+        if flushed:
+            self._levels = [[] for _ in range(self.levels)]
         self._stats.counter(f"{self.name}.flush_entries").increment(flushed)
         return flushed
 

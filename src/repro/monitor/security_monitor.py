@@ -237,7 +237,14 @@ class SecurityMonitor:
         )
 
     def destroy_enclave(self, enclave: Enclave) -> MonitorCallResult:
-        """Destroy an enclave: purge its cores, scrub its regions, free them."""
+        """Destroy an enclave: purge its cores, scrub its regions, free them.
+
+        Raises :class:`SecurityMonitorError` for an enclave that is already
+        destroyed: its regions may since belong to another domain, which a
+        second scrub would wipe.
+        """
+        if not enclave.is_alive:
+            raise SecurityMonitorError(f"enclave {enclave.enclave_id} is already destroyed")
         for core_id in list(enclave.domain.cores):
             self.deschedule_enclave(enclave, core_id)
         self._scrub_regions(enclave.domain.regions)

@@ -151,11 +151,15 @@ class TournamentPredictor:
 
     def flush(self) -> None:
         """Reset every table to its initial, program-independent state."""
-        self._local_history = [0] * self.local_history_entries
-        self._local_counters = [0] * (1 << self.local_history_bits)
-        self._global_counters = [1] * self.global_entries
-        self._choice_counters = [0] * self.global_entries
-        self._global_history = 0
+        # update() is the only writer of the tables and binds its counter
+        # handle on first use, so a predictor that was never trained is
+        # still in the initial state and has nothing to rewrite.
+        if self._c_lookups is not None:
+            self._local_history = [0] * self.local_history_entries
+            self._local_counters = [0] * (1 << self.local_history_bits)
+            self._global_counters = [1] * self.global_entries
+            self._choice_counters = [0] * self.global_entries
+            self._global_history = 0
         self._stats.counter("bp.flushes").increment()
 
     def flush_stall_cycles(self) -> int:

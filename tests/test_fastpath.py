@@ -22,9 +22,16 @@ from repro.analysis.engine import (
     request_for,
 )
 from repro.attacks.scenarios import run_scenario, scenario_names
+from repro.common.errors import ConfigurationError
 from repro.common.fastpath import SLOW_PATH_ENV_VAR, slow_path_enabled
 from repro.core.serialization import config_digest, run_to_dict
 from repro.core.variants import Variant, all_variants, config_for_variant, parse_variant
+from repro.mem.address import AddressMap, CacheGeometry, IndexFunction
+from repro.mem.cache import SetAssociativeCache
+from repro.mem.dram import DramController
+from repro.mem.llc import LastLevelCache, LlcConfig
+from repro.mem.replacement import LruPolicy, SelfCleaningLruPolicy
+from repro.os_model.machine import Machine
 
 SETTINGS = EvaluationSettings(instructions=2_000, seed=2019)
 
@@ -191,3 +198,176 @@ class TestServeEquivalence:
         monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
         assert fast_key == slow_key
         assert fast == slow
+
+
+#: Regions the populated LLCs hold lines of.  Under 2 region index bits
+#: regions 1 and 5 share their set slice, so their lines interleave.
+_RESIDENT_REGIONS = (1, 2, 3, 5)
+
+#: Scrub order: resident regions, a region with no lines, and regions
+#: outside the address map (which must scrub nothing).
+_SCRUB_ORDER = (3, 1, 0, 64, -1, 5, 2)
+
+
+def _populated_llc(index_function, policy_type, *, stray_line=False):
+    """A small LLC holding dirty lines of several owners, after evictions
+    and LRU reorderings, built in whichever lane the environment selects."""
+    address_map = AddressMap()
+    config = LlcConfig(
+        geometry=CacheGeometry(size_bytes=16 * 1024, ways=4),
+        index_function=index_function,
+    )
+    llc = LastLevelCache(config, address_map, DramController())
+    if policy_type is not LruPolicy:
+        geometry = config.geometry
+        llc._cache = SetAssociativeCache(
+            "llc",
+            geometry,
+            policy_type(geometry.num_sets, geometry.ways),
+            index_for=llc.indexer.set_index,
+            stats=llc.stats,
+        )
+    rng = random.Random(2019)
+    for _ in range(700):
+        region = rng.choice(_RESIDENT_REGIONS)
+        address = address_map.region_base(region) + rng.randrange(160) * 64 + rng.randrange(64)
+        llc.cache.access(
+            address, is_write=rng.random() < 0.4, owner=rng.choice((None, 11, 12, 13))
+        )
+    if stray_line:
+        llc.cache.access(address_map.dram_bytes + 64, owner=99)
+    return llc
+
+
+def _cache_contents(cache):
+    return (
+        [cache.set_contents(set_index) for set_index in range(cache.geometry.num_sets)],
+        cache.valid_line_count(),
+        cache.occupancy_by_owner(),
+    )
+
+
+def _cache_state(cache):
+    """Contents plus the LRU recency order of every set."""
+    recency = [cache.policy.recency_order(s) for s in range(cache.geometry.num_sets)]
+    return (recency, *_cache_contents(cache))
+
+
+def _scrub_trace(llc, scrub):
+    trace = []
+    for region in _SCRUB_ORDER:
+        scrubbed = scrub(llc, region)
+        trace.append(
+            (region, scrubbed, llc.stats.value("llc.region_scrub_lines"), _cache_state(llc.cache))
+        )
+    return trace, llc.stats.counters()
+
+
+def _scrub_by_address(llc, region):
+    """The per-address scrub the tag-range walk replaced, kept as an oracle."""
+    cache = llc.cache
+    offset_bits = llc.config.geometry.offset_bits
+    scrubbed = 0
+    for set_index in range(cache.geometry.num_sets):
+        for line in cache.set_contents(set_index):
+            address = line.tag << offset_bits
+            if line.valid and llc.address_map.region_of(address) == region:
+                scrubbed += cache.invalidate_address(address)
+    llc.stats.counter("llc.region_scrub_lines").increment(scrubbed)
+    return scrubbed
+
+
+def _in_lane(monkeypatch, slow, build):
+    if slow:
+        monkeypatch.setenv(SLOW_PATH_ENV_VAR, "1")
+    else:
+        monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
+    try:
+        return build()
+    finally:
+        monkeypatch.delenv(SLOW_PATH_ENV_VAR, raising=False)
+
+
+class TestScrubPurgeEquivalence:
+    """Region scrub and purge on *populated* structures, fast == slow.
+
+    Serving machines never run the kernel, so their LLC is empty when the
+    monitor scrubs it and the golden fixtures cannot see the order in
+    which lines are invalidated.  These cases fill the structures first.
+    """
+
+    @pytest.mark.parametrize(
+        "index_function, policy_type",
+        [
+            (IndexFunction.BASELINE, LruPolicy),
+            (IndexFunction.SET_PARTITIONED, LruPolicy),
+            (IndexFunction.SET_PARTITIONED, SelfCleaningLruPolicy),
+        ],
+        ids=["base-lru", "partitioned-lru", "partitioned-self-cleaning"],
+    )
+    def test_region_scrub_identical(self, index_function, policy_type, monkeypatch):
+        def scrub(llc, region):
+            return llc.scrub_region_sets(region)
+
+        fast = _in_lane(
+            monkeypatch, False,
+            lambda: _scrub_trace(_populated_llc(index_function, policy_type), scrub),
+        )
+        slow = _in_lane(
+            monkeypatch, True,
+            lambda: _scrub_trace(_populated_llc(index_function, policy_type), scrub),
+        )
+        oracle = _in_lane(
+            monkeypatch, True,
+            lambda: _scrub_trace(_populated_llc(index_function, policy_type), _scrub_by_address),
+        )
+        assert fast == slow == oracle
+        trace, _counters = fast
+        scrubbed = {region: count for region, count, _total, _state in trace}
+        assert all(scrubbed[region] > 0 for region in _RESIDENT_REGIONS)
+        assert scrubbed[0] == scrubbed[64] == scrubbed[-1] == 0
+        assert trace[-1][3][2] == 0  # every resident line scrubbed
+
+    @pytest.mark.parametrize("slow", [False, True], ids=["fast", "slow"])
+    @pytest.mark.parametrize("region", [2, 64])
+    def test_line_outside_dram_raises(self, slow, region, monkeypatch):
+        llc = _in_lane(
+            monkeypatch, slow,
+            lambda: _populated_llc(IndexFunction.BASELINE, LruPolicy, stray_line=True),
+        )
+        with pytest.raises(ConfigurationError, match="outside DRAM"):
+            llc.scrub_region_sets(region)
+
+    def test_purge_identical(self, monkeypatch):
+        def purge_trace():
+            machine = Machine(config_for_variant(Variant.F_P_M_A), num_cores=2)
+            hierarchy = machine.core(1).hierarchy
+            rng = random.Random(2019)
+            for _ in range(400):
+                address = rng.randrange(1 << 20) * 8
+                hierarchy.l1i.access(address)
+                hierarchy.l1d.access(address, is_write=rng.random() < 0.5, owner=2)
+                hierarchy.dtlb.access(address * 64, asid=rng.choice((0, 2)))
+                hierarchy.l2tlb.access(address * 64, asid=rng.choice((0, 2)))
+                hierarchy.translation_cache.fill(address * 4096)
+            trace = []
+            for _ in range(2):  # populated, then already empty
+                result = machine.core(1).purge_unit.execute()
+                trace.append(
+                    (
+                        result.stall_cycles,
+                        result.flushed,
+                        _cache_contents(hierarchy.l1d.cache),
+                        _cache_contents(hierarchy.l1i.cache),
+                    )
+                )
+            return trace, machine.stats.counters()
+
+        fast = _in_lane(monkeypatch, False, purge_trace)
+        slow = _in_lane(monkeypatch, True, purge_trace)
+        assert fast == slow
+        (populated, empty), _counters = fast
+        assert populated[1]["l1d_lines"] > 0 and populated[1]["dtlb_entries"] > 0
+        assert all(
+            count == 0 for name, count in empty[1].items() if name.endswith(("_lines", "_entries"))
+        )

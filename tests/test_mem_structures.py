@@ -1,8 +1,11 @@
 """Tests for TLBs, page tables, MSHRs, and the DRAM controller."""
 
+import random
+
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.common.stats import StatsRegistry
 from repro.mem.dram import DramConfig, DramController
 from repro.mem.mshr import MshrConfig, MshrFile
 from repro.mem.page_table import PageTable, PageTableWalker
@@ -30,6 +33,39 @@ class TestTlb:
             tlb.access(page * 4096)
         assert tlb.flush_all() == 8
         assert tlb.resident_entries() == 0
+
+    @pytest.mark.parametrize("entries, ways", [(32, None), (1024, 4), (8, 2)])
+    def test_flush_returns_resident_count(self, entries, ways):
+        # Fills, refills of resident pages, LRU evictions and ASID
+        # mismatches (a resident page re-filled under another ASID) all
+        # keep flush_all() equal to the resident count measured before it.
+        stats = StatsRegistry()
+        tlb = Tlb("l2tlb", entries=entries, ways=ways, stats=stats)
+        rng = random.Random(entries)
+        flushed_total = 0
+        for _round in range(6):
+            for _ in range(rng.randrange(4 * entries)):
+                page = rng.randrange(3 * entries)
+                if rng.random() < 0.3:
+                    tlb.fill(page * 4096, asid=rng.choice((0, 1)))
+                else:
+                    tlb.access(page * 4096 + rng.randrange(4096), asid=rng.choice((0, 1)))
+            resident = tlb.resident_entries()
+            assert tlb.flush_all() == resident
+            assert tlb.resident_entries() == 0
+            flushed_total += resident
+        assert stats.value("l2tlb.flush_entries") == flushed_total
+
+    def test_flushing_an_empty_tlb(self):
+        stats = StatsRegistry()
+        tlb = Tlb("itlb", entries=32, stats=stats)
+        assert tlb.flush_all() == 0
+        assert tlb.flush_all() == 0
+        assert "itlb.flush_entries" in stats.counters()
+        assert stats.value("itlb.flush_entries") == 0
+        tlb.access(0x3000)
+        assert tlb.flush_all() == 1
+        assert tlb.lookup(0x3000) is False
 
     def test_set_associative_geometry(self):
         tlb = Tlb("l2tlb", entries=1024, ways=4)

@@ -69,6 +69,22 @@ class TestEnclaveLifecycle:
         assert monitor.tlb_shootdowns >= before + 2
 
 
+    def test_destroying_a_destroyed_enclave_is_rejected(self, platform):
+        machine, monitor, operating_system = platform
+        tenant_a = operating_system.launch_enclave({2}, {0x1000: b"a"}, core_id=1)
+        monitor.destroy_enclave(tenant_a)
+        tenant_b = monitor.create_enclave({2})
+        # Tenant B's line in the region it inherited from tenant A.
+        line = machine.address_map.region_base(2)
+        machine.llc.access(line, owner=tenant_b.enclave_id)
+        shootdowns = monitor.tlb_shootdowns
+        with pytest.raises(SecurityMonitorError, match="already destroyed"):
+            monitor.destroy_enclave(tenant_a)
+        assert monitor.tlb_shootdowns == shootdowns
+        assert machine.llc.lookup(line)
+        assert tenant_b.enclave_id in monitor.live_domains()
+
+
 class TestCommunicationPrimitives:
     def test_mailbox_send_receive(self, platform):
         _machine, monitor, operating_system = platform

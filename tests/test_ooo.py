@@ -52,6 +52,19 @@ class TestBranchPredictor:
         predictor.flush()
         assert predictor.snapshot() == pristine
 
+    def test_flush_before_and_between_training(self):
+        predictor = TournamentPredictor()
+        pristine = predictor.snapshot()
+        predictor.flush()
+        assert predictor.snapshot() == pristine
+        for round_index in range(3):
+            for index in range(100):
+                predictor.update(0x400 + index * 4, (index + round_index) % 3 == 0)
+            assert predictor.snapshot() != pristine
+            predictor.flush()
+            assert predictor.snapshot() == pristine
+        assert predictor.stats.value("bp.flushes") == 4
+
     def test_flush_stall_cycles_matches_largest_table(self):
         predictor = TournamentPredictor()
         assert predictor.flush_stall_cycles() == 4096 // 8
