@@ -11,7 +11,9 @@ encoding against the files under ``tests/fixtures/golden/``:
 * ``fleet_outcomes.json`` — the ``FleetOutcome`` documents of the CI
   trace-smoke fleet case (closed-loop, the default client model) and
   of its open-loop twin;
-* ``cache_keys.json`` — one cache key per engine request kind;
+* ``cache_keys.json`` — one cache key per engine request kind, plus a
+  sampled grid of service keys and of fleet keys with every shard key
+  each fleet lowers to;
 * ``wire_requests.json`` — one wire document per ``repro.api`` request
   kind.
 
@@ -141,7 +143,65 @@ def cache_key_documents():
         "service": service.cache_key(),
         "fleet": fleet.cache_key(),
         "fleet-shard": shard.cache_key(),
+        "service-grid": service_key_grid(),
+        "fleet-grid": fleet_key_grid(),
     }
+
+
+def synthetic_cycles(fleet):
+    """A fixed benchmark -> cycles table standing in for kernel pricing."""
+    return {
+        workload.benchmark: 10_000 + 37 * index
+        for index, workload in enumerate(fleet.workload_requests())
+    }
+
+
+def service_key_grid():
+    """Service keys over policies x variants x loads x seeds (bursty, churn 7)."""
+    spec = ServiceRequest(
+        variants=SERVICE_VARIANTS,
+        loads=(0.5, 0.7, 0.9),
+        seeds=(1, 2),
+        load_profile="bursty",
+        churn_every=7,
+    ).resolve(SETTINGS)
+    return [
+        {
+            "policy": request.policy,
+            "variant": request.config.name,
+            "load": request.load,
+            "seed": request.seed,
+            "key": request.cache_key(),
+        }
+        for request in spec.requests()
+    ]
+
+
+def fleet_key_grid():
+    """Fleet keys, and every shard key each fleet lowers to, over a grid."""
+    spec = FleetRequest(
+        variants=("BASE", "F+P+M+A"),
+        loads=(0.6, 0.9),
+        seeds=(1, 2),
+        router="least_loaded",
+        admission="deadline",
+        client="open_loop",
+        num_shards=3,
+        churn_every=7,
+    ).resolve(SETTINGS)
+    return [
+        {
+            "variant": fleet.config.name,
+            "load": fleet.load,
+            "seed": fleet.seed,
+            "key": fleet.cache_key(),
+            "shards": [
+                {"shard_index": shard.shard_index, "key": shard.cache_key()}
+                for shard in fleet.shard_plan(synthetic_cycles(fleet)).shard_requests
+            ],
+        }
+        for fleet in spec.requests()
+    ]
 
 
 def wire_documents():
