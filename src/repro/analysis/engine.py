@@ -8,15 +8,21 @@ layer that executes such sweeps:
 * :class:`EvaluationSettings` — run length and seed for one sweep,
   controllable through ``REPRO_BENCH_INSTRUCTIONS`` / ``REPRO_BENCH_SEED``;
 * :class:`RunRequest` — one fully specified simulation (complete machine
-  configuration + workload parameters), content-addressed via
-  :func:`repro.core.serialization.run_cache_key`;
+  configuration + workload parameters);
 * :class:`ExperimentSpec` — a cartesian sweep of
   variants × benchmarks × seeds expanded into run requests;
-* :class:`ScenarioRequest` / :class:`ScenarioSpec` — the same machinery
-  for the co-scheduled security scenarios of
-  :mod:`repro.attacks.scenarios` (scenarios × variants × seeds);
-* :class:`ParallelRunner` — executes requests, serving repeats from a
-  :class:`~repro.analysis.store.ResultStore` and fanning cache misses out
+* :class:`ScenarioRequest` / :class:`ScenarioSpec`,
+  :class:`ServiceRunRequest` / :class:`ServiceSpec` and
+  :class:`FleetRunRequest` / :class:`FleetSpec` (lowered onto
+  :class:`FleetShardRequest` shards) — the same machinery for the
+  security scenarios, enclave serving and fleet serving;
+* :data:`REQUEST_KINDS` — each request kind declared once: its request
+  dataclass, cache-key tag, store layer, outcome codec and execute
+  function.  Cache keys (:func:`~repro.core.serialization.request_cache_key`
+  over the request's fields), pool transport and runner dispatch are all
+  derived from that declaration;
+* :class:`ParallelRunner` — ``run(kind, requests)`` serves repeats from a
+  :class:`~repro.analysis.store.ResultStore` and fans cache misses out
   over a :class:`concurrent.futures.ProcessPoolExecutor`.
 
 Each request is simulated on a *fresh* machine seeded from the request
@@ -28,22 +34,17 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.attacks.scenarios import ScenarioOutcome, run_scenario, scenario_names
 from repro.core.config import MI6Config
 from repro.core.processor import WorkloadRun
 from repro.core.serialization import (
-    config_from_dict,
-    config_to_dict,
-    fleet_cache_key,
-    fleet_shard_cache_key,
-    run_cache_key,
+    derived,
+    request_cache_key,
     run_from_dict,
     run_to_dict,
-    scenario_cache_key,
-    service_cache_key,
 )
 from repro.fleet.admission import admission_names
 from repro.fleet.clients import client_model_names
@@ -107,36 +108,6 @@ _SIMULATIONS_TOTAL = global_registry().counter(
     "Simulations executed by this process (store misses that ran)",
 )
 
-#: Spec/request fields deliberately excluded from content-hash cache
-#: keys.  The ``cache-key`` lint rule (``repro lint``) verifies every
-#: other field reaches its digest, and that each entry here carries a
-#: justification and still names a real field.
-CACHE_KEY_EXCLUSIONS = {
-    "ServiceRunRequest": {
-        "service_cycles": (
-            "derived state: the benchmark->cycles table is resolved "
-            "deterministically from (config, instructions, seed) through "
-            "the run layer, so hashing it would only duplicate "
-            "information the key already covers"
-        ),
-    },
-    "FleetRunRequest": {
-        "service_cycles": (
-            "derived state: resolved deterministically from (config, "
-            "instructions, seed) through the run layer, exactly as for "
-            "ServiceRunRequest"
-        ),
-    },
-    "FleetShardRequest": {
-        "service_cycles": (
-            "derived state: the shard's benchmark->cycles table is a "
-            "deterministic restriction of the fleet's, itself derived "
-            "from (config, instructions, seed) through the run layer"
-        ),
-    },
-}
-
-
 @dataclass(frozen=True)
 class EvaluationSettings:
     """Settings for one evaluation sweep."""
@@ -197,8 +168,40 @@ def evaluation_config(variant: VariantLike, instructions: int) -> MI6Config:
     return config_for_spec(variant, base)
 
 
+class _EngineRequest:
+    """Base of every registered request kind: its content-hash identity.
+
+    The key is :func:`~repro.core.serialization.request_cache_key` over
+    the request's fields, under the digest tag its kind declares in
+    :data:`REQUEST_KINDS`.
+    """
+
+    def cache_key(self) -> str:
+        """Content-hash identity of this request (the store key)."""
+        return request_cache_key(self, _KIND_OF_TYPE[type(self)].digest_tag)
+
+
+def _pricing_runs(request: Any, benchmarks: Iterable[str]) -> List[RunRequest]:
+    """The kernel runs whose cycle counts price ``benchmarks``.
+
+    One request per distinct benchmark (first-seen order), on exactly
+    ``request``'s machine configuration — the same requests a ``sweep``
+    at the same instruction budget would issue, so serving sweeps and
+    figure sweeps share cache entries.
+    """
+    return [
+        RunRequest(
+            config=request.config,
+            benchmark=benchmark,
+            instructions=request.instructions,
+            seed=request.seed,
+        )
+        for benchmark in dict.fromkeys(benchmarks)
+    ]
+
+
 @dataclass(frozen=True)
-class RunRequest:
+class RunRequest(_EngineRequest):
     """One fully specified simulation run.
 
     Unlike the old ``(variant, benchmark, instructions, seed)`` tuple,
@@ -212,37 +215,6 @@ class RunRequest:
     instructions: int
     seed: int = DEFAULT_SEED
     warm_up: bool = True
-
-    def cache_key(self) -> str:
-        """Content-hash identity of this run (the store key)."""
-        return run_cache_key(
-            self.config,
-            self.benchmark,
-            self.instructions,
-            self.seed,
-            warm_up=self.warm_up,
-        )
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-compatible encoding shipped to worker processes."""
-        return {
-            "config": config_to_dict(self.config),
-            "benchmark": self.benchmark,
-            "instructions": self.instructions,
-            "seed": self.seed,
-            "warm_up": self.warm_up,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> RunRequest:
-        """Rebuild a request from :meth:`to_payload` output."""
-        return cls(
-            config=config_from_dict(payload["config"]),
-            benchmark=payload["benchmark"],
-            instructions=payload["instructions"],
-            seed=payload["seed"],
-            warm_up=payload["warm_up"],
-        )
 
 
 def request_for(
@@ -271,44 +243,8 @@ def execute_request(request: RunRequest) -> WorkloadRun:
     )
 
 
-def _pool_execute(
-    envelope: Dict[str, Any],
-    decode_request: Any,
-    execute: Any,
-    encode: Any,
-) -> Dict[str, Any]:
-    """Worker-side envelope protocol shared by every pool worker.
-
-    The envelope is ``{"request": to_payload(), "trace": bool}``.  When
-    the parent is tracing, the worker collects sim spans on a local
-    tracer and ships them back beside the encoded outcome — the outcome
-    encoding itself is identical either way, so persisted store bytes
-    never depend on tracing.
-    """
-    request = decode_request(envelope["request"])
-    if not envelope.get("trace"):
-        return {"value": encode(execute(request))}
-    tracer = Tracer()
-    previous = set_active_tracer(tracer)
-    try:
-        value = execute(request)
-    finally:
-        set_active_tracer(previous)
-    return {"value": encode(value), "spans": tracer.span_dicts()}
-
-
-def _pool_worker(envelope: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool entry point: dicts in, dicts out (always picklable)."""
-    return _pool_execute(
-        envelope, RunRequest.from_payload, execute_request, run_to_dict
-    )
-
-
 # ----------------------------------------------------------------------
 # Security scenarios
-
-#: Store document kind under which scenario outcomes persist.
-SCENARIO_STORE_KIND = "scenario"
 
 #: Variants the security evaluation compares by default: the insecure
 #: baseline against the full MI6 machine (the Section 6 comparison).
@@ -316,7 +252,7 @@ DEFAULT_SCENARIO_VARIANTS = (Variant.BASE, Variant.F_P_M_A)
 
 
 @dataclass(frozen=True)
-class ScenarioRequest:
+class ScenarioRequest(_EngineRequest):
     """One fully specified security-scenario run.
 
     Like :class:`RunRequest`, a scenario request carries the complete
@@ -329,46 +265,11 @@ class ScenarioRequest:
     seed: int = DEFAULT_SEED
     num_cores: int = 2
 
-    def cache_key(self) -> str:
-        """Content-hash identity of this scenario run (the store key)."""
-        return scenario_cache_key(
-            self.scenario, self.config, self.seed, num_cores=self.num_cores
-        )
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-compatible encoding shipped to worker processes."""
-        return {
-            "scenario": self.scenario,
-            "config": config_to_dict(self.config),
-            "seed": self.seed,
-            "num_cores": self.num_cores,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> ScenarioRequest:
-        """Rebuild a request from :meth:`to_payload` output."""
-        return cls(
-            scenario=payload["scenario"],
-            config=config_from_dict(payload["config"]),
-            seed=payload["seed"],
-            num_cores=payload.get("num_cores", 2),
-        )
-
 
 def execute_scenario_request(request: ScenarioRequest) -> ScenarioOutcome:
     """Run one scenario on a fresh machine (the only place scenarios run)."""
     return run_scenario(
         request.scenario, request.config, request.seed, num_cores=request.num_cores
-    )
-
-
-def _scenario_pool_worker(envelope: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool entry point for scenarios: dicts in, dicts out."""
-    return _pool_execute(
-        envelope,
-        ScenarioRequest.from_payload,
-        execute_scenario_request,
-        lambda outcome: outcome.to_dict(),
     )
 
 
@@ -453,9 +354,6 @@ class ScenarioSpec:
 # ----------------------------------------------------------------------
 # Enclave serving
 
-#: Store document kind under which service outcomes persist.
-SERVICE_STORE_KIND = "service"
-
 #: Scheduling policies a default serving sweep compares.
 DEFAULT_SERVICE_POLICIES = ("fifo", "affinity", "batch")
 
@@ -464,7 +362,7 @@ DEFAULT_SERVICE_LOAD = 0.7
 
 
 @dataclass(frozen=True)
-class ServiceRunRequest:
+class ServiceRunRequest(_EngineRequest):
     """One fully specified enclave-serving simulation.
 
     Like :class:`RunRequest` and :class:`ScenarioRequest`, a service
@@ -472,9 +370,9 @@ class ServiceRunRequest:
     content-hash identity reflects every parameter that affects the
     outcome.  ``service_cycles`` — the benchmark → cycles table the
     event loop consumes — is *derived* state resolved through the run
-    layer (:func:`resolve_service_cycles`); it travels in the payload so
-    pool workers never re-simulate the kernel, but it is excluded from
-    the cache key.
+    layer (:meth:`ParallelRunner.price`); it travels with the request so
+    pool workers never re-simulate the kernel, but it is marked
+    ``derived`` and so left out of the cache key.
     """
 
     policy: str
@@ -487,86 +385,15 @@ class ServiceRunRequest:
     num_requests: int = DEFAULT_SERVICE_REQUESTS
     instructions: int = DEFAULT_SERVICE_INSTRUCTIONS
     churn_every: int = 0
-    service_cycles: Optional[Tuple[Tuple[str, int], ...]] = None
-
-    def cache_key(self) -> str:
-        """Content-hash identity of this serving run (the store key)."""
-        return service_cache_key(
-            self.policy,
-            self.config,
-            self.seed,
-            load=self.load,
-            load_profile=self.load_profile,
-            num_cores=self.num_cores,
-            num_tenants=self.num_tenants,
-            num_requests=self.num_requests,
-            instructions=self.instructions,
-            churn_every=self.churn_every,
-        )
+    service_cycles: Optional[Tuple[Tuple[str, int], ...]] = derived(
+        "the benchmark->cycles table is resolved deterministically from "
+        "(config, instructions, seed) through the run layer, so hashing it "
+        "would only duplicate what the key already covers"
+    )
 
     def workload_requests(self) -> List[RunRequest]:
-        """The kernel runs whose cycle counts price this fleet's requests.
-
-        One request per distinct tenant benchmark, on exactly this
-        machine configuration — the same requests a ``sweep`` at the
-        same instruction budget would issue, so serving sweeps and
-        figure sweeps share cache entries.
-        """
-        seen: List[str] = []
-        for benchmark in tenant_benchmarks(self.num_tenants):
-            if benchmark not in seen:
-                seen.append(benchmark)
-        return [
-            RunRequest(
-                config=self.config,
-                benchmark=benchmark,
-                instructions=self.instructions,
-                seed=self.seed,
-            )
-            for benchmark in seen
-        ]
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-compatible encoding shipped to worker processes."""
-        return {
-            "policy": self.policy,
-            "config": config_to_dict(self.config),
-            "seed": self.seed,
-            "load": self.load,
-            "load_profile": self.load_profile,
-            "num_cores": self.num_cores,
-            "num_tenants": self.num_tenants,
-            "num_requests": self.num_requests,
-            "instructions": self.instructions,
-            "churn_every": self.churn_every,
-            "service_cycles": (
-                [list(pair) for pair in self.service_cycles]
-                if self.service_cycles is not None
-                else None
-            ),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> ServiceRunRequest:
-        """Rebuild a request from :meth:`to_payload` output."""
-        cycles = payload.get("service_cycles")
-        return cls(
-            policy=payload["policy"],
-            config=config_from_dict(payload["config"]),
-            seed=payload["seed"],
-            load=payload["load"],
-            load_profile=payload["load_profile"],
-            num_cores=payload["num_cores"],
-            num_tenants=payload["num_tenants"],
-            num_requests=payload["num_requests"],
-            instructions=payload["instructions"],
-            churn_every=payload.get("churn_every", 0),
-            service_cycles=(
-                tuple((name, count) for name, count in cycles)
-                if cycles is not None
-                else None
-            ),
-        )
+        """The kernel runs whose cycle counts price this service's requests."""
+        return _pricing_runs(self, tenant_benchmarks(self.num_tenants))
 
 
 def resolve_service_cycles(
@@ -575,9 +402,9 @@ def resolve_service_cycles(
     """Benchmark -> request service cycles, simulated directly.
 
     The session resolves these through the result store instead (cached,
-    parallel); this fallback keeps the service, shard and fleet
-    executors pure functions of their request for pool workers and
-    direct callers.
+    parallel; :meth:`ParallelRunner.price`); this fallback keeps the
+    service, shard and fleet executors pure functions of their request
+    for pool workers and direct callers.
     """
     return {
         workload.benchmark: execute_request(workload).cycles
@@ -585,17 +412,21 @@ def resolve_service_cycles(
     }
 
 
+def _service_cycles(
+    request: Union[ServiceRunRequest, FleetShardRequest, FleetRunRequest],
+) -> Dict[str, int]:
+    """The request's priced cycle table, or the direct fallback."""
+    if request.service_cycles is not None:
+        return dict(request.service_cycles)
+    return resolve_service_cycles(request)
+
+
 def execute_service_request(request: ServiceRunRequest) -> ServiceOutcome:
     """Run one serving simulation (the only place service runs happen)."""
-    cycles = (
-        dict(request.service_cycles)
-        if request.service_cycles is not None
-        else resolve_service_cycles(request)
-    )
     return run_service(
         request.config,
         request.policy,
-        service_cycles=cycles,
+        service_cycles=_service_cycles(request),
         seed=request.seed,
         load=request.load,
         load_profile=request.load_profile,
@@ -604,16 +435,6 @@ def execute_service_request(request: ServiceRunRequest) -> ServiceOutcome:
         num_requests=request.num_requests,
         instructions=request.instructions,
         churn_every=request.churn_every,
-    )
-
-
-def _service_pool_worker(envelope: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool entry point for serving runs: dicts in, dicts out."""
-    return _pool_execute(
-        envelope,
-        ServiceRunRequest.from_payload,
-        execute_service_request,
-        lambda outcome: outcome.to_dict(),
     )
 
 
@@ -739,12 +560,6 @@ class ServiceSpec:
 # ----------------------------------------------------------------------
 # Fleet serving
 
-#: Store document kind under which merged fleet outcomes persist.
-FLEET_STORE_KIND = "fleet"
-
-#: Store document kind under which per-shard outcomes persist.
-FLEET_SHARD_STORE_KIND = "fleet-shard"
-
 #: Default scheduling policy of a fleet sweep (lazy release keeps the
 #: per-shard purge traffic representative of a tuned deployment).
 DEFAULT_FLEET_POLICY = "affinity"
@@ -764,15 +579,15 @@ DEFAULT_FLEET_REQUESTS = 400
 
 
 @dataclass(frozen=True)
-class FleetShardRequest:
+class FleetShardRequest(_EngineRequest):
     """One fully specified shard of a fleet simulation.
 
     The engine's unit of parallel fan-out: a shard request carries the
     complete machine configuration plus the exact tenant placement the
-    router produced, so its content-hash identity
-    (:func:`repro.core.serialization.fleet_shard_cache_key`) reflects
-    every parameter that affects the shard's numbers.  ``service_cycles``
-    is derived state, excluded from the key exactly as for
+    router produced (the router name is fleet-level state; the placement
+    is hashed instead), so its content-hash identity reflects every
+    parameter that affects the shard's numbers.  ``service_cycles`` is
+    derived state, left out of the key exactly as for
     :class:`ServiceRunRequest`.
     """
 
@@ -795,121 +610,24 @@ class FleetShardRequest:
     churn_every: int = 0
     dram_wipe_bytes_per_cycle: int = DEFAULT_WIPE_BYTES_PER_CYCLE
     measurement_cycles_per_page: int = DEFAULT_MEASUREMENT_CYCLES_PER_PAGE
-    service_cycles: Optional[Tuple[Tuple[str, int], ...]] = None
-
-    def cache_key(self) -> str:
-        """Content-hash identity of this shard run (the store key)."""
-        return fleet_shard_cache_key(
-            self.policy,
-            self.config,
-            self.seed,
-            shard_index=self.shard_index,
-            tenants=self.tenants,
-            num_tenants=self.num_tenants,
-            admission=self.admission,
-            client=self.client,
-            load=self.load,
-            load_profile=self.load_profile,
-            num_cores=self.num_cores,
-            num_requests=self.num_requests,
-            queue_depth=self.queue_depth,
-            slo_cycles=self.slo_cycles,
-            think_factor=self.think_factor,
-            instructions=self.instructions,
-            churn_every=self.churn_every,
-            dram_wipe_bytes_per_cycle=self.dram_wipe_bytes_per_cycle,
-            measurement_cycles_per_page=self.measurement_cycles_per_page,
-        )
+    service_cycles: Optional[Tuple[Tuple[str, int], ...]] = derived(
+        "the shard's benchmark->cycles table is a deterministic restriction "
+        "of the fleet's, itself derived from (config, instructions, seed) "
+        "through the run layer"
+    )
 
     def workload_requests(self) -> List[RunRequest]:
         """Kernel runs pricing this shard's tenants (fallback path)."""
         benchmarks = tenant_benchmarks(self.num_tenants)
-        seen: List[str] = []
-        for tenant in self.tenants:
-            if benchmarks[tenant] not in seen:
-                seen.append(benchmarks[tenant])
-        return [
-            RunRequest(
-                config=self.config,
-                benchmark=benchmark,
-                instructions=self.instructions,
-                seed=self.seed,
-            )
-            for benchmark in seen
-        ]
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-compatible encoding shipped to worker processes."""
-        return {
-            "policy": self.policy,
-            "config": config_to_dict(self.config),
-            "seed": self.seed,
-            "shard_index": self.shard_index,
-            "tenants": list(self.tenants),
-            "num_tenants": self.num_tenants,
-            "admission": self.admission,
-            "client": self.client,
-            "load": self.load,
-            "load_profile": self.load_profile,
-            "num_cores": self.num_cores,
-            "num_requests": self.num_requests,
-            "queue_depth": self.queue_depth,
-            "slo_cycles": self.slo_cycles,
-            "think_factor": self.think_factor,
-            "instructions": self.instructions,
-            "churn_every": self.churn_every,
-            "dram_wipe_bytes_per_cycle": self.dram_wipe_bytes_per_cycle,
-            "measurement_cycles_per_page": self.measurement_cycles_per_page,
-            "service_cycles": (
-                [list(pair) for pair in self.service_cycles]
-                if self.service_cycles is not None
-                else None
-            ),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> FleetShardRequest:
-        """Rebuild a request from :meth:`to_payload` output."""
-        cycles = payload.get("service_cycles")
-        return cls(
-            policy=payload["policy"],
-            config=config_from_dict(payload["config"]),
-            seed=payload["seed"],
-            shard_index=payload["shard_index"],
-            tenants=tuple(payload["tenants"]),
-            num_tenants=payload["num_tenants"],
-            admission=payload["admission"],
-            client=payload["client"],
-            load=payload["load"],
-            load_profile=payload["load_profile"],
-            num_cores=payload["num_cores"],
-            num_requests=payload["num_requests"],
-            queue_depth=payload["queue_depth"],
-            slo_cycles=payload["slo_cycles"],
-            think_factor=payload["think_factor"],
-            instructions=payload["instructions"],
-            churn_every=payload.get("churn_every", 0),
-            dram_wipe_bytes_per_cycle=payload["dram_wipe_bytes_per_cycle"],
-            measurement_cycles_per_page=payload["measurement_cycles_per_page"],
-            service_cycles=(
-                tuple((name, count) for name, count in cycles)
-                if cycles is not None
-                else None
-            ),
-        )
+        return _pricing_runs(self, (benchmarks[tenant] for tenant in self.tenants))
 
 
 def execute_fleet_shard_request(request: FleetShardRequest) -> ShardOutcome:
     """Run one shard simulation (the only place shard runs happen)."""
-    cycles = (
-        dict(request.service_cycles)
-        if request.service_cycles is not None
-        else resolve_service_cycles(request)
-    )
     return run_fleet_shard(
         request.config,
         request.policy,
-        service_cycles=cycles,
+        service_cycles=_service_cycles(request),
         seed=request.seed,
         shard_index=request.shard_index,
         tenants=request.tenants,
@@ -926,16 +644,6 @@ def execute_fleet_shard_request(request: FleetShardRequest) -> ShardOutcome:
         churn_every=request.churn_every,
         dram_wipe_bytes_per_cycle=request.dram_wipe_bytes_per_cycle,
         measurement_cycles_per_page=request.measurement_cycles_per_page,
-    )
-
-
-def _fleet_shard_pool_worker(envelope: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool entry point for shard runs: dicts in, dicts out."""
-    return _pool_execute(
-        envelope,
-        FleetShardRequest.from_payload,
-        execute_fleet_shard_request,
-        lambda outcome: outcome.to_dict(),
     )
 
 
@@ -958,15 +666,15 @@ class FleetPlan:
 
 
 @dataclass(frozen=True)
-class FleetRunRequest:
+class FleetRunRequest(_EngineRequest):
     """One fully specified fleet simulation (all shards plus the merge).
 
     Carries every fleet-level parameter — routing/admission policies,
     client model, fleet shape, queue bound, SLO/think factors, and the
-    extended churn-costing knobs — hashed into
-    :func:`repro.core.serialization.fleet_cache_key`.  Lowering onto
-    shard requests (:meth:`shard_plan`) needs the service-cycle table,
-    because two routers weigh tenants by their measured demand.
+    extended churn-costing knobs — all hashed into its cache key.
+    Lowering onto shard requests (:meth:`shard_plan`) needs the
+    service-cycle table, because two routers weigh tenants by their
+    measured demand.
     """
 
     policy: str
@@ -988,48 +696,14 @@ class FleetRunRequest:
     churn_every: int = 0
     dram_wipe_bytes_per_cycle: int = DEFAULT_WIPE_BYTES_PER_CYCLE
     measurement_cycles_per_page: int = DEFAULT_MEASUREMENT_CYCLES_PER_PAGE
-    service_cycles: Optional[Tuple[Tuple[str, int], ...]] = None
-
-    def cache_key(self) -> str:
-        """Content-hash identity of this fleet run (the store key)."""
-        return fleet_cache_key(
-            self.policy,
-            self.config,
-            self.seed,
-            router=self.router,
-            admission=self.admission,
-            client=self.client,
-            load=self.load,
-            load_profile=self.load_profile,
-            num_shards=self.num_shards,
-            shard_cores=self.shard_cores,
-            num_tenants=self.num_tenants,
-            num_requests=self.num_requests,
-            queue_depth=self.queue_depth,
-            slo_factor=self.slo_factor,
-            think_factor=self.think_factor,
-            instructions=self.instructions,
-            churn_every=self.churn_every,
-            dram_wipe_bytes_per_cycle=self.dram_wipe_bytes_per_cycle,
-            measurement_cycles_per_page=self.measurement_cycles_per_page,
-        )
+    service_cycles: Optional[Tuple[Tuple[str, int], ...]] = derived(
+        "resolved deterministically from (config, instructions, seed) "
+        "through the run layer, exactly as for ServiceRunRequest"
+    )
 
     def workload_requests(self) -> List[RunRequest]:
-        """Kernel runs pricing this fleet's requests (same key space as
-        sweep runs, so fleet sweeps share cache entries with figures)."""
-        seen: List[str] = []
-        for benchmark in tenant_benchmarks(self.num_tenants):
-            if benchmark not in seen:
-                seen.append(benchmark)
-        return [
-            RunRequest(
-                config=self.config,
-                benchmark=benchmark,
-                instructions=self.instructions,
-                seed=self.seed,
-            )
-            for benchmark in seen
-        ]
+        """Kernel runs pricing this fleet's requests."""
+        return _pricing_runs(self, tenant_benchmarks(self.num_tenants))
 
     def shard_plan(self, cycles: Dict[str, int]) -> FleetPlan:
         """Route tenants and expand this fleet into shard requests.
@@ -1110,10 +784,6 @@ class FleetRunRequest:
         )
 
 
-#: Fleet requests price their tenants' workloads the same way.
-resolve_fleet_cycles = resolve_service_cycles
-
-
 def _merge_fleet(
     request: FleetRunRequest, plan: FleetPlan, outcomes: Sequence[ShardOutcome]
 ) -> FleetOutcome:
@@ -1155,21 +825,123 @@ def _merge_fleet(
 def execute_fleet_request(request: FleetRunRequest) -> FleetOutcome:
     """Run one fleet simulation serially (shards in index order).
 
-    The runner's :meth:`ParallelRunner.run_fleets` fans shards out over
-    the store and the process pool instead; this pure path exists for
-    direct callers and produces bit-identical results.
+    The runner (``ParallelRunner.run("fleet", ...)``) fans shards out
+    over the store and the process pool instead; this pure path exists
+    for direct callers and produces bit-identical results.
     """
-    cycles = (
-        dict(request.service_cycles)
-        if request.service_cycles is not None
-        else resolve_service_cycles(request)
-    )
-    plan = request.shard_plan(cycles)
+    plan = request.shard_plan(_service_cycles(request))
     outcomes = [
         execute_fleet_shard_request(shard_request)
         for shard_request in plan.shard_requests
     ]
     return _merge_fleet(request, plan, outcomes)
+
+
+# ----------------------------------------------------------------------
+# The request-kind registry
+
+
+@dataclass(frozen=True)
+class RequestKind:
+    """One engine request kind, declared once in :data:`REQUEST_KINDS`.
+
+    Attributes:
+        request_type: The kind's frozen request dataclass.  Its fields
+            are its cache key, except those marked ``derived``.
+        digest_tag: ``kind`` discriminator folded into the cache key, so
+            the kinds' key spaces stay disjoint; ``None`` for ``run``,
+            whose keys predate the tag.
+        store_kind: Store document kind the outcomes persist under, or
+            ``None`` for the run layer (``ResultStore.get``/``put``).
+        outcome_type: Type of the kind's outcome.
+        encode: Outcome -> JSON-compatible document.
+        decode: Document -> outcome (the inverse of ``encode``).
+        execute: Name of the module-level function executing one
+            request.  It is looked up at call time, so a patched module
+            attribute (tracing probes, tests) reaches in-process and
+            pool-worker calls alike.
+        store_routed: Execution goes back through the runner (the fleet
+            prices kernels and runs shards through the store), so misses
+            execute in-process rather than on pool workers.
+    """
+
+    request_type: type
+    digest_tag: Optional[str]
+    store_kind: Optional[str]
+    outcome_type: type
+    encode: Callable[[Any], Dict[str, Any]]
+    decode: Callable[[Dict[str, Any]], Any]
+    execute: str
+    store_routed: bool = False
+
+
+def _document_kind(
+    request_type: type,
+    tag: str,
+    outcome_type: Any,
+    execute: str,
+    store_routed: bool = False,
+) -> RequestKind:
+    """A kind whose outcomes persist as ``to_dict()`` documents under ``tag``."""
+    return RequestKind(
+        request_type,
+        digest_tag=tag,
+        store_kind=tag,
+        outcome_type=outcome_type,
+        encode=outcome_type.to_dict,
+        decode=outcome_type.from_dict,
+        execute=execute,
+        store_routed=store_routed,
+    )
+
+
+#: Kind name -> declaration.  The name is what :meth:`ParallelRunner.run`
+#: takes and what a result wire document tags an entry value with.
+REQUEST_KINDS: Dict[str, RequestKind] = {
+    "run": RequestKind(
+        RunRequest, None, None, WorkloadRun, run_to_dict, run_from_dict, "execute_request"
+    ),
+    "scenario": _document_kind(
+        ScenarioRequest, "scenario", ScenarioOutcome, "execute_scenario_request"
+    ),
+    "service": _document_kind(
+        ServiceRunRequest, "service", ServiceOutcome, "execute_service_request"
+    ),
+    "fleet-shard": _document_kind(
+        FleetShardRequest, "fleet-shard", ShardOutcome, "execute_fleet_shard_request"
+    ),
+    "fleet": _document_kind(
+        FleetRunRequest, "fleet", FleetOutcome, "execute_fleet_request", store_routed=True
+    ),
+}
+
+_KIND_OF_TYPE: Dict[type, RequestKind] = {
+    kind.request_type: kind for kind in REQUEST_KINDS.values()
+}
+
+
+def _pool_worker(envelope: Tuple[str, Any, bool]) -> Dict[str, Any]:
+    """Process-pool entry point: ``(kind, request, trace)`` in, a dict out.
+
+    The request arrives pickled as is (every kind is a frozen dataclass)
+    and the outcome leaves encoded by its kind's codec.  When the parent
+    is tracing, the worker collects sim spans on a local tracer and
+    ships them back beside the outcome — the encoding itself is
+    identical either way, so persisted store bytes never depend on
+    tracing.
+    """
+    kind, request, trace = envelope
+    declared = REQUEST_KINDS[kind]
+    execute = globals()[declared.execute]
+    if not trace:
+        return {"value": declared.encode(execute(request))}
+    tracer = Tracer()
+    previous = set_active_tracer(tracer)
+    try:
+        value = execute(request)
+    finally:
+        set_active_tracer(previous)
+    return {"value": declared.encode(value), "spans": tracer.span_dicts()}
 
 
 @dataclass(frozen=True)
@@ -1464,7 +1236,7 @@ class ExperimentResult:
 
 
 class ParallelRunner:
-    """Executes run requests through a store, in parallel on cache misses.
+    """Executes requests of any registered kind through a store.
 
     Args:
         store: Result store consulted before simulating (defaults to a
@@ -1476,10 +1248,10 @@ class ParallelRunner:
         executed_runs: Simulations actually executed by this runner.
         warm_runs: Requests served from the store without simulating.
         last_origins: Per-request provenance of the most recent
-            :meth:`run`/:meth:`run_scenarios` call, aligned with the
-            request sequence: ``"warm"`` for store hits, ``"cold"`` for
-            executed simulations (duplicate positions of one executed
-            key are all ``"cold"``).
+            :meth:`run` call, aligned with the request sequence:
+            ``"warm"`` for store hits, ``"cold"`` for executed
+            simulations (duplicate positions of one executed key are all
+            ``"cold"``).
         last_keys: Cache keys of the most recent call, aligned the same
             way — computed once here, so provenance consumers (the
             Session API) never re-hash configurations.
@@ -1493,85 +1265,47 @@ class ParallelRunner:
         self.last_origins: List[str] = []
         self.last_keys: List[str] = []
 
-    def _execute_through_store(
-        self,
-        requests: Sequence[Any],
-        *,
-        lookup: Any,
-        persist: Any,
-        execute: Any,
-        pool_worker: Any,
-        decode: Any,
-    ) -> List[Any]:
-        """Shared request-execution machinery for runs and scenarios.
+    def run(self, kind: str, requests: Sequence[Any]) -> List[Any]:
+        """Execute requests of one registered kind, outcomes in request order.
 
         Deduplicates by content key *before* the store lookup (so the
         store's hit/miss counters reflect simulations, not positions),
-        serves warm keys through ``lookup``, and fans the rest out over
-        the process pool — ``pool_worker`` must be a module-level
-        function taking the request's ``to_payload()`` dict and
-        returning an encoded result for ``decode``.
+        serves warm keys from the kind's store layer, and fans the rest
+        out over the process pool.  A store-routed kind (the fleet)
+        executes its misses in-process through :meth:`_execute_fleet`,
+        so a warm fleet rerun is a single document lookup.
         """
+        declared = REQUEST_KINDS[kind]
         requests = list(requests)
         results: List[Any] = [None] * len(requests)
         origins: List[str] = ["cold"] * len(requests)
-        tracer = active_tracer()
-        by_key: Dict[str, List[int]] = {}
         pending: Dict[str, List[int]] = {}
-        pending_requests: Dict[str, Any] = {}
         with wall_span("store-lookup", track="engine", requests=len(requests)):
             keys: List[str] = [request.cache_key() for request in requests]
+            by_key: Dict[str, List[int]] = {}
             for position, key in enumerate(keys):
                 by_key.setdefault(key, []).append(position)
             for key, positions in by_key.items():
-                cached = lookup(key)
-                if cached is not None:
-                    for position in positions:
-                        results[position] = cached
-                        origins[position] = "warm"
-                    self.warm_runs += len(positions)
-                else:
+                cached = self._lookup(declared, key)
+                if cached is None:
                     pending[key] = positions
-                    pending_requests[key] = requests[positions[0]]
+                    continue
+                for position in positions:
+                    results[position] = cached
+                    origins[position] = "warm"
+                self.warm_runs += len(positions)
         if pending:
-            pending_keys = list(pending)
-            _SIMULATIONS_TOTAL.inc(len(pending_keys))
-            with wall_span(
-                "worker-dispatch",
-                track="engine",
-                pending=len(pending_keys),
-                jobs=self.jobs,
-            ):
-                if self.jobs == 1 or len(pending_keys) == 1:
-                    # In-process execution: the ambient tracer (if any)
-                    # records sim spans directly.
-                    produced = [execute(pending_requests[key]) for key in pending_keys]
-                else:
-                    envelopes = [
-                        {
-                            "request": pending_requests[key].to_payload(),
-                            "trace": tracer is not None,
-                        }
-                        for key in pending_keys
-                    ]
-                    produced = []
-                    with ProcessPoolExecutor(
-                        max_workers=min(self.jobs, len(pending_keys))
-                    ) as pool:
-                        # pool.map preserves request order, so absorbed
-                        # worker spans arrive in the same order the
-                        # serial path would have recorded them.
-                        for encoded in pool.map(pool_worker, envelopes):
-                            spans = encoded.get("spans")
-                            if spans and tracer is not None:
-                                tracer.absorb(spans)
-                            produced.append(decode(encoded["value"]))
-            with wall_span("store-persist", track="engine", produced=len(pending_keys)):
-                for key, result in zip(pending_keys, produced):
-                    persist(key, result)
+            todo = [requests[positions[0]] for positions in pending.values()]
+            if declared.store_routed:
+                produced = [self._execute_fleet(request) for request in todo]
+            else:
+                produced = self._dispatch(kind, todo)
+            with wall_span("store-persist", track="engine", produced=len(todo)):
+                for (key, positions), outcome in zip(pending.items(), produced):
+                    self._persist(declared, key, outcome)
                     self.executed_runs += 1
-                    for position in pending[key]:
-                        results[position] = result
+                    for position in positions:
+                        results[position] = outcome
         # `keys` stays the full position-aligned list (one per request),
         # NOT the deduplicated pending subset: provenance consumers zip
         # it against the request sequence.
@@ -1579,196 +1313,71 @@ class ParallelRunner:
         self.last_keys = keys
         return results
 
-    def _execute_documents(
-        self,
-        requests: Sequence[Any],
-        kind: str,
-        outcome_type: Any,
-        *,
-        execute: Any,
-        pool_worker: Any,
-    ) -> List[Any]:
-        """:meth:`_execute_through_store` over the store's document layer.
+    def _lookup(self, declared: RequestKind, key: str) -> Any:
+        if declared.store_kind is None:
+            return self.store.get(key)
+        payload = self.store.get_payload(declared.store_kind, key)
+        return declared.decode(payload) if payload is not None else None
 
-        Outcomes persist as ``outcome_type.to_dict()`` payloads under the
-        store kind ``kind`` and decode with ``outcome_type.from_dict``.
+    def _persist(self, declared: RequestKind, key: str, outcome: Any) -> None:
+        if declared.store_kind is None:
+            self.store.put(key, outcome)
+        else:
+            self.store.put_payload(declared.store_kind, key, declared.encode(outcome))
+
+    def _dispatch(self, kind: str, requests: List[Any]) -> List[Any]:
+        """Execute store misses, over the process pool when ``jobs > 1``."""
+        declared = REQUEST_KINDS[kind]
+        _SIMULATIONS_TOTAL.inc(len(requests))
+        with wall_span(
+            "worker-dispatch", track="engine", pending=len(requests), jobs=self.jobs
+        ):
+            if self.jobs == 1 or len(requests) == 1:
+                # In-process execution: the ambient tracer (if any)
+                # records sim spans directly.
+                execute = globals()[declared.execute]
+                return [execute(request) for request in requests]
+            tracer = active_tracer()
+            envelopes = [(kind, request, tracer is not None) for request in requests]
+            produced = []
+            with ProcessPoolExecutor(max_workers=min(self.jobs, len(requests))) as pool:
+                # pool.map preserves request order, so absorbed worker
+                # spans arrive in the same order the serial path would
+                # have recorded them.
+                for encoded in pool.map(_pool_worker, envelopes):
+                    spans = encoded.get("spans")
+                    if spans and tracer is not None:
+                        tracer.absorb(spans)
+                    produced.append(declared.decode(encoded["value"]))
+            return produced
+
+    def price(self, requests: Sequence[Any]) -> List[Any]:
+        """``requests`` with ``service_cycles`` resolved through the run layer.
+
+        Service, shard and fleet requests are priced by the kernel runs
+        of their tenants' benchmarks (``workload_requests()``).  Those
+        runs are served from, and persisted to, the store, so the event
+        loop never simulates the kernel and a warm rerun touches no
+        simulation at all.
         """
-
-        def lookup(key: str) -> Any:
-            payload = self.store.get_payload(kind, key)
-            return outcome_type.from_dict(payload) if payload is not None else None
-
-        def persist(key: str, outcome: Any) -> None:
-            self.store.put_payload(kind, key, outcome.to_dict())
-
-        return self._execute_through_store(
-            requests,
-            lookup=lookup,
-            persist=persist,
-            execute=execute,
-            pool_worker=pool_worker,
-            decode=outcome_type.from_dict,
-        )
-
-    def run(self, requests: Sequence[RunRequest]) -> List[WorkloadRun]:
-        """Execute requests, returning runs in request order."""
-        return self._execute_through_store(
-            requests,
-            lookup=self.store.get,
-            persist=self.store.put,
-            execute=execute_request,
-            pool_worker=_pool_worker,
-            decode=run_from_dict,
-        )
-
-    def run_one(self, request: RunRequest) -> WorkloadRun:
-        """Execute (or fetch) a single request."""
-        return self.run([request])[0]
-
-    def run_spec(self, spec: ExperimentSpec) -> ExperimentResult:
-        """Execute a full sweep and return its indexed results."""
-        requests = spec.requests()
-        return ExperimentResult(spec=spec, requests=requests, runs=self.run(requests))
-
-    # ------------------------------------------------------------------
-    # Security scenarios
-
-    def run_scenarios(
-        self, requests: Sequence[ScenarioRequest]
-    ) -> List[ScenarioOutcome]:
-        """Execute scenario requests, returning outcomes in request order.
-
-        Mirrors :meth:`run`: outcomes are served from the store's
-        document layer when warm and fanned out over the process pool on
-        cache misses, with identical results either way.
-        """
-        return self._execute_documents(
-            requests,
-            SCENARIO_STORE_KIND,
-            ScenarioOutcome,
-            execute=execute_scenario_request,
-            pool_worker=_scenario_pool_worker,
-        )
-
-    def run_scenario_spec(
-        self, spec: ScenarioSpec
-    ) -> List[Tuple[ScenarioRequest, ScenarioOutcome]]:
-        """Execute a full security sweep, pairing requests with outcomes."""
-        requests = spec.requests()
-        return list(zip(requests, self.run_scenarios(requests)))
-
-    # ------------------------------------------------------------------
-    # Enclave serving
-
-    def run_services(
-        self, requests: Sequence[ServiceRunRequest]
-    ) -> List[ServiceOutcome]:
-        """Execute serving requests, returning outcomes in request order.
-
-        Mirrors :meth:`run_scenarios`: outcomes persist in the store's
-        document layer under :data:`SERVICE_STORE_KIND` and cache misses
-        fan out over the process pool, bit-identical either way.  The
-        caller (the Session) normally resolves each request's
-        ``service_cycles`` through the run layer first so the event loop
-        never re-simulates the kernel; requests shipped without a table
-        compute it inline (still deterministic, just slower).
-        """
-        return self._execute_documents(
-            requests,
-            SERVICE_STORE_KIND,
-            ServiceOutcome,
-            execute=execute_service_request,
-            pool_worker=_service_pool_worker,
-        )
-
-    def run_service_spec(
-        self, spec: ServiceSpec
-    ) -> List[Tuple[ServiceRunRequest, ServiceOutcome]]:
-        """Execute a full serving sweep, pairing requests with outcomes."""
-        requests = spec.requests()
-        return list(zip(requests, self.run_services(requests)))
-
-    # ------------------------------------------------------------------
-    # Fleet serving
-
-    def run_fleet_shards(
-        self, requests: Sequence[FleetShardRequest]
-    ) -> List[ShardOutcome]:
-        """Execute shard requests, returning outcomes in request order.
-
-        Mirrors :meth:`run_services` one level down: shard outcomes
-        persist under :data:`FLEET_SHARD_STORE_KIND` and cache misses
-        fan out one-per-worker over the process pool.  Results are
-        bit-identical across ``jobs`` settings because each shard's
-        streams are seeded from ``(seed, shard_index)`` alone and
-        ``pool.map`` preserves request order.
-        """
-        return self._execute_documents(
-            requests,
-            FLEET_SHARD_STORE_KIND,
-            ShardOutcome,
-            execute=execute_fleet_shard_request,
-            pool_worker=_fleet_shard_pool_worker,
-        )
+        groups = [request.workload_requests() for request in requests]
+        flat = [workload for group in groups for workload in group]
+        runs = iter(self.run("run", flat) if flat else [])
+        priced = []
+        for request, group in zip(requests, groups):
+            table = sorted((workload.benchmark, next(runs).cycles) for workload in group)
+            priced.append(replace(request, service_cycles=tuple(table)))
+        return priced
 
     def _execute_fleet(self, request: FleetRunRequest) -> FleetOutcome:
         """Lower one fleet request onto shards and merge the outcomes.
 
-        Cannot reuse ``_execute_through_store``'s execute hook: the
-        expansion itself goes back through the store (kernel pricing via
-        :meth:`run`, shards via :meth:`run_fleet_shards`), so warm fleet
-        reruns skip the shard layer entirely while cold ones still share
-        cached shards and kernel runs with earlier sweeps.
+        The expansion itself goes back through the store (kernel pricing
+        via :meth:`price`, shards via ``run("fleet-shard", ...)``), so
+        cold fleets share cached shards and kernel runs with earlier
+        sweeps.
         """
-        if request.service_cycles is not None:
-            cycles = dict(request.service_cycles)
-        else:
-            workloads = request.workload_requests()
-            cycles = {
-                workload.benchmark: run.cycles
-                for workload, run in zip(workloads, self.run(workloads))
-            }
-        plan = request.shard_plan(cycles)
-        outcomes = self.run_fleet_shards(plan.shard_requests)
-        return _merge_fleet(request, plan, outcomes)
-
-    def run_fleets(self, requests: Sequence[FleetRunRequest]) -> List[FleetOutcome]:
-        """Execute fleet requests, returning outcomes in request order.
-
-        The merged fleet document persists under
-        :data:`FLEET_STORE_KIND` keyed by
-        :func:`repro.core.serialization.fleet_cache_key`, so a repeated
-        fleet run is a single document lookup.  ``last_keys`` and
-        ``last_origins`` are (re)aligned with the *fleet* request
-        sequence after any nested kernel/shard execution updated them.
-        """
-        requests = list(requests)
-        results: List[Optional[FleetOutcome]] = [None] * len(requests)
-        origins: List[str] = ["cold"] * len(requests)
-        keys: List[str] = [request.cache_key() for request in requests]
-        executed: Dict[str, FleetOutcome] = {}
-        for position, (request, key) in enumerate(zip(requests, keys)):
-            if key in executed:
-                results[position] = executed[key]
-                continue
-            payload = self.store.get_payload(FLEET_STORE_KIND, key)
-            if payload is not None:
-                results[position] = FleetOutcome.from_dict(payload)
-                origins[position] = "warm"
-                self.warm_runs += 1
-                continue
-            outcome = self._execute_fleet(request)
-            self.store.put_payload(FLEET_STORE_KIND, key, outcome.to_dict())
-            self.executed_runs += 1
-            executed[key] = outcome
-            results[position] = outcome
-        self.last_origins = origins
-        self.last_keys = keys
-        return [outcome for outcome in results if outcome is not None]
-
-    def run_fleet_spec(
-        self, spec: FleetSpec
-    ) -> List[Tuple[FleetRunRequest, FleetOutcome]]:
-        """Execute a full fleet sweep, pairing requests with outcomes."""
-        requests = spec.requests()
-        return list(zip(requests, self.run_fleets(requests)))
+        if request.service_cycles is None:
+            request = self.price([request])[0]
+        plan = request.shard_plan(_service_cycles(request))
+        return _merge_fleet(request, plan, self.run("fleet-shard", plan.shard_requests))

@@ -12,10 +12,14 @@ A :class:`ResultStore` has two layers:
   from disk without re-running anything.
 
 Keys are the content hashes produced by
-:func:`repro.core.serialization.run_cache_key` — they cover the complete
-machine configuration and all workload parameters, so any configuration
-change automatically misses the cache rather than returning stale
-numbers.  Set ``REPRO_CACHE=off`` to disable the disk layer entirely.
+:func:`repro.core.serialization.request_cache_key` — they cover the
+complete machine configuration and all workload parameters, so any
+configuration change automatically misses the cache rather than
+returning stale numbers.  Run results live in the run layer
+(:meth:`ResultStore.get`/:meth:`ResultStore.put`); every other request
+kind's outcomes live in the document layer under the store kind its
+:data:`repro.analysis.engine.REQUEST_KINDS` entry declares.  Set
+``REPRO_CACHE=off`` to disable the disk layer entirely.
 
 The disk layer is safe for concurrent multi-process use (daemon handler
 threads, ``ParallelRunner`` workers, and independent CLI invocations

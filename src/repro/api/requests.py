@@ -15,9 +15,9 @@ notebooks) speaks this one vocabulary instead of its own dialect:
 Requests are *declarative*: fields left as ``None`` resolve against the
 session's :class:`~repro.analysis.engine.EvaluationSettings` (environment
 defaults) at run time.  ``resolve`` lowers each request onto the engine's
-fully-specified form — :class:`~repro.analysis.engine.RunRequest`,
-:class:`~repro.analysis.engine.ExperimentSpec`, or
-:class:`~repro.analysis.engine.ScenarioSpec` — which is where the
+fully-specified form — a :class:`~repro.analysis.engine.RunRequest` or a
+spec expanding into requests of the kind named by ``engine_kind`` (see
+:data:`~repro.analysis.engine.REQUEST_KINDS`) — which is where the
 content-hash cache keys live.  Variant fields accept anything
 :data:`~repro.core.mitigations.VariantLike`: legacy enum members,
 composed :class:`~repro.core.mitigations.MitigationSet` values, or spec
@@ -206,6 +206,7 @@ class WorkloadRequest:
     """
 
     wire_kind: ClassVar[str] = "workload"
+    engine_kind: ClassVar[str] = "run"
 
     variant: VariantLike = "BASE"
     benchmark: str = "gcc"
@@ -252,6 +253,7 @@ class SweepRequest:
     """
 
     wire_kind: ClassVar[str] = "sweep"
+    engine_kind: ClassVar[str] = "run"
 
     variants: Optional[Sequence[VariantLike]] = None
     benchmarks: Optional[Sequence[str]] = None
@@ -287,6 +289,7 @@ class ScenarioRequest:
     """
 
     wire_kind: ClassVar[str] = "scenario"
+    engine_kind: ClassVar[str] = "scenario"
 
     scenarios: Optional[Sequence[str]] = None
     variants: Optional[Sequence[VariantLike]] = None
@@ -320,6 +323,7 @@ class ServiceRequest:
     """
 
     wire_kind: ClassVar[str] = "service"
+    engine_kind: ClassVar[str] = "service"
 
     policies: Optional[Sequence[str]] = None
     variants: Optional[Sequence[VariantLike]] = None
@@ -368,6 +372,7 @@ class FleetRequest:
     """
 
     wire_kind: ClassVar[str] = "fleet"
+    engine_kind: ClassVar[str] = "fleet"
 
     variants: Optional[Sequence[VariantLike]] = None
     loads: Optional[Sequence[float]] = None

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.engine import EvaluationSettings, ExperimentResult
+from repro.analysis.engine import REQUEST_KINDS, EvaluationSettings, ExperimentResult
 from repro.api.requests import (
     WIRE_VERSION,
     SweepRequest,
@@ -35,7 +35,6 @@ from repro.api.requests import (
 from repro.attacks.scenarios import ScenarioOutcome
 from repro.core.mitigations import VariantLike, spec_name
 from repro.core.processor import WorkloadRun
-from repro.core.serialization import run_from_dict, run_to_dict
 from repro.fleet.simulation import FleetOutcome
 from repro.service.simulation import ServiceOutcome
 
@@ -221,13 +220,12 @@ class Result:
 # ----------------------------------------------------------------------
 # Wire codec: Result <-> versioned JSON document
 
-#: Wire tag -> (value type, encoder, decoder) for every entry kind the
-#: envelope can carry.  Declaration order is the dispatch order.
+#: Wire tag -> (value type, encoder, decoder): the outcome codec of every
+#: engine request kind, tagged with the kind's name.  Declaration order
+#: is the dispatch order.
 _VALUE_CODECS: Dict[str, Tuple[type, Any, Any]] = {
-    "run": (WorkloadRun, run_to_dict, run_from_dict),
-    "scenario": (ScenarioOutcome, ScenarioOutcome.to_dict, ScenarioOutcome.from_dict),
-    "service": (ServiceOutcome, ServiceOutcome.to_dict, ServiceOutcome.from_dict),
-    "fleet": (FleetOutcome, FleetOutcome.to_dict, FleetOutcome.from_dict),
+    name: (kind.outcome_type, kind.encode, kind.decode)
+    for name, kind in REQUEST_KINDS.items()
 }
 
 #: The keys every result wire document must carry — exactly these.

@@ -20,21 +20,19 @@ process so BASE runs are computed once, re-pointable by the CLI via
 from __future__ import annotations
 
 import time
-from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.engine import (
     EvaluationSettings,
     ExperimentResult,
     ParallelRunner,
+    RunRequest,
     default_jobs,
 )
 from repro.analysis.store import ResultStore
 from repro.api.requests import (
-    FleetRequest,
     Request,
     ScenarioRequest,
-    ServiceRequest,
     SweepRequest,
     WorkloadRequest,
 )
@@ -53,6 +51,38 @@ from repro.fleet.clients import client_model_description, client_model_names
 from repro.fleet.routing import router_description, router_names
 from repro.service.schedulers import policy_description, policy_names
 from repro.workloads.spec_cint2006 import benchmark_names
+
+
+def _purge_audit(outcome: Any) -> Dict[str, Any]:
+    """The purge audit behind one serving outcome's numbers."""
+    return {
+        "purge_count": outcome.purge_count,
+        "purge_stall_cycles": outcome.purge_stall_cycles,
+        "charged_purge_cycles": outcome.charged_purge_cycles,
+        "charged_flush_cycles": outcome.charged_flush_cycles,
+        "per_core": [dict(row) for row in outcome.per_core],
+    }
+
+
+def _admission_audit(outcome: Any) -> Dict[str, Any]:
+    """The admission audit behind one fleet outcome's numbers."""
+    return {
+        "offered": outcome.offered,
+        "admitted": outcome.admitted,
+        "dropped_queue_full": outcome.dropped_queue_full,
+        "rejected_deadline": outcome.rejected_deadline,
+        "deadline_misses": outcome.deadline_misses,
+        "per_shard": [dict(row) for row in outcome.per_shard],
+    }
+
+
+#: Engine kind -> (cell key of an entry, audit carried in its provenance).
+_ENTRY_SHAPES: Dict[str, Tuple[Callable[[Any], tuple], Optional[Callable[[Any], Any]]]] = {
+    "run": (lambda r: (r.config.name, r.benchmark, r.seed), None),
+    "scenario": (lambda r: (r.scenario, r.config.name, r.seed), None),
+    "service": (lambda r: (r.policy, r.config.name, r.load, r.seed), _purge_audit),
+    "fleet": (lambda r: (r.config.name, r.load, r.seed), _admission_audit),
+}
 
 
 class Session:
@@ -131,196 +161,49 @@ class Session:
         everything else is simulated, in parallel when the session has
         more than one job, and persisted before the call returns.
         """
-        if isinstance(request, WorkloadRequest):
-            return self._run_workload(request)
-        if isinstance(request, SweepRequest):
-            return self._run_sweep(request)
-        if isinstance(request, ScenarioRequest):
-            return self._run_scenarios(request)
-        if isinstance(request, ServiceRequest):
-            return self._run_service(request)
-        if isinstance(request, FleetRequest):
-            return self._run_fleet(request)
-        raise TypeError(
-            f"unsupported request type {type(request).__name__!r} "
-            "(expected WorkloadRequest, SweepRequest, ScenarioRequest, "
-            "ServiceRequest, or FleetRequest)"
+        kind = getattr(request, "engine_kind", None)
+        if kind is None:
+            raise TypeError(
+                f"unsupported request type {type(request).__name__!r} "
+                "(expected WorkloadRequest, SweepRequest, ScenarioRequest, "
+                "ServiceRequest, or FleetRequest)"
+            )
+        resolved = request.resolve(self.settings)
+        engine_requests = (
+            [resolved] if isinstance(resolved, RunRequest) else resolved.requests()
         )
-
-    def _entries_for(
-        self,
-        values: Sequence[Any],
-        keys: Sequence[tuple],
-        purge_audits: Optional[Sequence[Optional[Dict[str, Any]]]] = None,
-    ) -> List[ResultEntry]:
-        # Snapshot the runner's per-request bookkeeping immediately: the
-        # cache keys were already computed during execution (no
-        # re-hashing here) and the origins belong to exactly this call.
-        cache_keys = list(self.runner.last_keys)
-        origins = list(self.runner.last_origins)
-        if purge_audits is None:
-            purge_audits = [None] * len(keys)
-        return [
+        started = time.perf_counter()
+        executed = engine_requests
+        if kind in ("service", "fleet"):
+            # Price the kernels through the run layer first: the event
+            # loop (and the fleet router) never simulates the kernel, and
+            # a warm rerun is pure document lookups.
+            executed = self.runner.price(engine_requests)
+        values = self.runner.run(kind, executed)
+        elapsed = time.perf_counter() - started
+        # The runner's bookkeeping belongs to exactly this call, and its
+        # cache keys were computed during execution (no re-hashing here).
+        cell_key, audit = _ENTRY_SHAPES[kind]
+        entries = [
             ResultEntry(
-                key=key,
+                key=cell_key(engine_request),
                 value=value,
                 provenance=Provenance(
                     cache_key=cache_key,
                     schema_version=SCHEMA_VERSION,
                     origin=origin,
-                    purge=purge,
+                    purge=audit(value) if audit is not None else None,
                 ),
             )
-            for value, key, cache_key, origin, purge in zip(
-                values, keys, cache_keys, origins, purge_audits
+            for engine_request, value, cache_key, origin in zip(
+                engine_requests, values, self.runner.last_keys, self.runner.last_origins
             )
         ]
-
-    def _run_workload(self, request: WorkloadRequest) -> Result:
-        resolved = request.resolve(self.settings)
-        started = time.perf_counter()
-        runs = self.runner.run([resolved])
-        elapsed = time.perf_counter() - started
-        keys = [(resolved.config.name, resolved.benchmark, resolved.seed)]
+        sweep = None
+        if isinstance(request, SweepRequest):
+            sweep = ExperimentResult(spec=resolved, requests=engine_requests, runs=values)
         return Result(
-            request=request,
-            entries=self._entries_for(runs, keys),
-            wall_time_seconds=elapsed,
-        )
-
-    def _run_sweep(self, request: SweepRequest) -> Result:
-        spec = request.resolve(self.settings)
-        engine_requests = spec.requests()
-        started = time.perf_counter()
-        runs = self.runner.run(engine_requests)
-        elapsed = time.perf_counter() - started
-        sweep = ExperimentResult(spec=spec, requests=engine_requests, runs=runs)
-        keys = [
-            (engine_request.config.name, engine_request.benchmark, engine_request.seed)
-            for engine_request in engine_requests
-        ]
-        return Result(
-            request=request,
-            entries=self._entries_for(sweep.runs, keys),
-            wall_time_seconds=elapsed,
-            sweep=sweep,
-        )
-
-    def _run_scenarios(self, request: ScenarioRequest) -> Result:
-        spec = request.resolve(self.settings)
-        engine_requests = spec.requests()
-        started = time.perf_counter()
-        outcomes = self.runner.run_scenarios(engine_requests)
-        elapsed = time.perf_counter() - started
-        keys = [
-            (engine_request.scenario, engine_request.config.name, engine_request.seed)
-            for engine_request in engine_requests
-        ]
-        return Result(
-            request=request,
-            entries=self._entries_for(outcomes, keys),
-            wall_time_seconds=elapsed,
-        )
-
-    def _run_service(self, request: ServiceRequest) -> Result:
-        spec = request.resolve(self.settings)
-        engine_requests = spec.requests()
-        started = time.perf_counter()
-        # Price the fleet's requests through the run layer first: the
-        # per-benchmark cycle costs are served from (and persisted to)
-        # the session's store, so the event loop never simulates the
-        # kernel and a warm rerun touches no simulation at all.
-        workload_lists = [
-            service_request.workload_requests() for service_request in engine_requests
-        ]
-        flat = [workload for group in workload_lists for workload in group]
-        runs = self.runner.run(flat) if flat else []
-        resolved = []
-        cursor = 0
-        for service_request, group in zip(engine_requests, workload_lists):
-            table = tuple(
-                sorted(
-                    (workload.benchmark, run.cycles)
-                    for workload, run in zip(group, runs[cursor : cursor + len(group)])
-                )
-            )
-            cursor += len(group)
-            resolved.append(replace(service_request, service_cycles=table))
-        outcomes = self.runner.run_services(resolved)
-        elapsed = time.perf_counter() - started
-        keys = [
-            (
-                service_request.policy,
-                service_request.config.name,
-                service_request.load,
-                service_request.seed,
-            )
-            for service_request in engine_requests
-        ]
-        purge_audits = [
-            {
-                "purge_count": outcome.purge_count,
-                "purge_stall_cycles": outcome.purge_stall_cycles,
-                "charged_purge_cycles": outcome.charged_purge_cycles,
-                "charged_flush_cycles": outcome.charged_flush_cycles,
-                "per_core": [dict(row) for row in outcome.per_core],
-            }
-            for outcome in outcomes
-        ]
-        return Result(
-            request=request,
-            entries=self._entries_for(outcomes, keys, purge_audits),
-            wall_time_seconds=elapsed,
-        )
-
-    def _run_fleet(self, request: FleetRequest) -> Result:
-        spec = request.resolve(self.settings)
-        engine_requests = spec.requests()
-        started = time.perf_counter()
-        # Price each fleet's requests through the run layer first, as in
-        # _run_service: the router weighs tenants by these measured
-        # costs, and a warm fleet rerun is a single document lookup.
-        workload_lists = [
-            fleet_request.workload_requests() for fleet_request in engine_requests
-        ]
-        flat = [workload for group in workload_lists for workload in group]
-        runs = self.runner.run(flat) if flat else []
-        resolved = []
-        cursor = 0
-        for fleet_request, group in zip(engine_requests, workload_lists):
-            table = tuple(
-                sorted(
-                    (workload.benchmark, run.cycles)
-                    for workload, run in zip(group, runs[cursor : cursor + len(group)])
-                )
-            )
-            cursor += len(group)
-            resolved.append(replace(fleet_request, service_cycles=table))
-        outcomes = self.runner.run_fleets(resolved)
-        elapsed = time.perf_counter() - started
-        keys = [
-            (
-                fleet_request.config.name,
-                fleet_request.load,
-                fleet_request.seed,
-            )
-            for fleet_request in engine_requests
-        ]
-        admission_audits = [
-            {
-                "offered": outcome.offered,
-                "admitted": outcome.admitted,
-                "dropped_queue_full": outcome.dropped_queue_full,
-                "rejected_deadline": outcome.rejected_deadline,
-                "deadline_misses": outcome.deadline_misses,
-                "per_shard": [dict(row) for row in outcome.per_shard],
-            }
-            for outcome in outcomes
-        ]
-        return Result(
-            request=request,
-            entries=self._entries_for(outcomes, keys, admission_audits),
-            wall_time_seconds=elapsed,
+            request=request, entries=entries, wall_time_seconds=elapsed, sweep=sweep
         )
 
     # ------------------------------------------------------------------

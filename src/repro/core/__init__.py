@@ -52,7 +52,7 @@ from repro.core.serialization import (
     config_digest,
     config_from_dict,
     config_to_dict,
-    run_cache_key,
+    request_cache_key,
     run_from_dict,
     run_to_dict,
 )
@@ -91,7 +91,7 @@ __all__ = [
     "config_to_dict",
     "llc_sets_disjoint",
     "parse_variant",
-    "run_cache_key",
+    "request_cache_key",
     "run_from_dict",
     "run_to_dict",
     "timing_independence_report",

@@ -5,9 +5,10 @@ result store (:mod:`repro.analysis.store`) need two things from the core
 layer:
 
 * a canonical, content-addressed identity for a simulation — the cache
-  key of a run is a SHA-256 digest over the *full* machine configuration
-  plus the workload parameters, so any configuration change (not just the
-  variant name) invalidates cached results;
+  key of an engine request (:func:`request_cache_key`) is a SHA-256
+  digest over the *full* machine configuration plus every other request
+  field not marked :func:`derived`, so any configuration change (not
+  just the variant name) invalidates cached results;
 * a lossless serialisation of :class:`~repro.core.processor.WorkloadRun`
   so results survive process boundaries (the parallel runner's worker
   processes) and process exits (the on-disk store).
@@ -22,9 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import fields, is_dataclass
+from dataclasses import field, fields, is_dataclass
 from enum import Enum
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.common.stats import StatsRegistry
 from repro.core.config import MI6Config
@@ -43,12 +44,8 @@ from repro.ooo.core import CoreConfig, CoreResult
 #: pre-fix cache entries must not be served warm.
 SCHEMA_VERSION = 2
 
-#: Digest-builder parameters deliberately excluded from their content
-#: hash, as ``owner -> {name: justification}``.  Empty today: every
-#: parameter of every ``*_cache_key`` below is hashed.  The ``cache-key``
-#: lint rule (``repro lint``) enforces that invariant and keeps this
-#: table honest (stale or unjustified entries are findings).
-CACHE_KEY_EXCLUSIONS: Dict[str, Dict[str, str]] = {}
+#: Field-metadata key of the :func:`derived` marker.
+DERIVED = "derived"
 
 
 # ----------------------------------------------------------------------
@@ -96,224 +93,38 @@ def config_digest(config: MI6Config) -> str:
     return _digest({"schema": SCHEMA_VERSION, "config": config_to_dict(config)})
 
 
-def run_cache_key(
-    config: MI6Config,
-    benchmark: str,
-    instructions: int,
-    seed: int,
-    *,
-    warm_up: bool = True,
-) -> str:
-    """Canonical cache key for one simulation run.
+def derived(justification: str) -> Any:
+    """Mark a request field as *derived* state, left out of its cache key.
 
-    The key is a content hash over the complete configuration and every
-    workload parameter, replacing the old ad-hoc ``(variant, benchmark,
-    instructions, seed)`` tuple: two runs share a key if and only if they
-    would execute the identical simulation.
+    Use it as the field's default (``service_cycles: T = derived("why")``);
+    the field then defaults to ``None``.  A derived field must be a pure
+    function of the keyed fields, so hashing it would only duplicate what
+    the key already covers.  The ``cache-key`` lint rule demands a
+    literal, non-empty justification and that the marker sits on an
+    annotated dataclass field.
     """
-    return _digest(
-        {
-            "schema": SCHEMA_VERSION,
-            "config": config_to_dict(config),
-            "benchmark": benchmark,
-            "instructions": instructions,
-            "seed": seed,
-            "warm_up": warm_up,
-        }
-    )
+    return field(default=None, metadata={DERIVED: justification})
 
 
-def scenario_cache_key(
-    scenario: str, config: MI6Config, seed: int, *, num_cores: int = 2
-) -> str:
-    """Canonical cache key for one security-scenario run.
+def request_cache_key(request: Any, kind: Optional[str]) -> str:
+    """Canonical cache key of an engine request: a digest of its fields.
 
-    Mirrors :func:`run_cache_key`: the digest covers the complete machine
-    configuration, so a scenario outcome cached for one variant can never
-    be returned for another.  The ``kind`` discriminator keeps scenario
-    keys disjoint from benchmark-run keys even for identical configs.
-
-    ``num_cores`` is the *machine* core count the scenario co-schedules
-    on (distinct from ``config.num_cores``, the conceptual 16-core
-    arithmetic).  Adding it to the digest also retired every pre-seeded
-    scenario key: scenario machines now take their RNG seed from the
-    scenario seed (it was hardwired to 7), which changes outcomes for
-    what would otherwise be the same key.  Benchmark-run keys are
-    untouched by either change.
+    The digest covers :data:`SCHEMA_VERSION`, the ``kind`` discriminator
+    (keeping the key spaces of request kinds disjoint; ``None`` omits
+    it) and every dataclass field of ``request`` not marked
+    :func:`derived`, under the field's name.  Values encode like
+    configurations — dataclasses as dicts, enums by name — so a
+    configuration field hashes the *complete* machine configuration: two
+    requests share a key if and only if they would execute the identical
+    simulation.
     """
-    return _digest(
-        {
-            "schema": SCHEMA_VERSION,
-            "kind": "scenario",
-            "scenario": scenario,
-            "config": config_to_dict(config),
-            "seed": seed,
-            "num_cores": num_cores,
-        }
-    )
-
-
-def service_cache_key(
-    policy: str,
-    config: MI6Config,
-    seed: int,
-    *,
-    load: float,
-    load_profile: str,
-    num_cores: int,
-    num_tenants: int,
-    num_requests: int,
-    instructions: int,
-    churn_every: int = 0,
-) -> str:
-    """Canonical cache key for one enclave-serving simulation.
-
-    Mirrors :func:`run_cache_key` and :func:`scenario_cache_key`: the
-    digest covers the complete machine configuration plus every serving
-    parameter the event loop consumes (policy, load point and profile,
-    fleet shape, request stream length, per-request instruction budget,
-    churn period), under its own ``kind`` discriminator.  The per-
-    benchmark service-cycle table is deliberately *not* part of the key:
-    it is derived deterministically from ``(config, instructions,
-    seed)`` through the run layer, so hashing it would only duplicate
-    information already covered.
-    """
-    return _digest(
-        {
-            "schema": SCHEMA_VERSION,
-            "kind": "service",
-            "policy": policy,
-            "config": config_to_dict(config),
-            "seed": seed,
-            "load": load,
-            "load_profile": load_profile,
-            "num_cores": num_cores,
-            "num_tenants": num_tenants,
-            "num_requests": num_requests,
-            "instructions": instructions,
-            "churn_every": churn_every,
-        }
-    )
-
-
-def fleet_cache_key(
-    policy: str,
-    config: MI6Config,
-    seed: int,
-    *,
-    router: str,
-    admission: str,
-    client: str,
-    load: float,
-    load_profile: str,
-    num_shards: int,
-    shard_cores: int,
-    num_tenants: int,
-    num_requests: int,
-    queue_depth: int,
-    slo_factor: float,
-    think_factor: float,
-    instructions: int,
-    churn_every: int,
-    dram_wipe_bytes_per_cycle: int,
-    measurement_cycles_per_page: int,
-) -> str:
-    """Canonical cache key for one fleet simulation (the merged document).
-
-    Mirrors :func:`service_cache_key` one level up: the digest covers
-    the complete machine configuration plus every fleet parameter —
-    routing and admission policies, client model, fleet shape, queue
-    bound, SLO and think-time factors, and the extended churn-costing
-    knobs (DRAM-wipe bandwidth, measurement cost) — under its own
-    ``kind`` discriminator.  The per-benchmark service-cycle table is
-    deliberately *not* part of the key: it is derived deterministically
-    from ``(config, instructions, seed)`` through the run layer.
-    """
-    return _digest(
-        {
-            "schema": SCHEMA_VERSION,
-            "kind": "fleet",
-            "policy": policy,
-            "config": config_to_dict(config),
-            "seed": seed,
-            "router": router,
-            "admission": admission,
-            "client": client,
-            "load": load,
-            "load_profile": load_profile,
-            "num_shards": num_shards,
-            "shard_cores": shard_cores,
-            "num_tenants": num_tenants,
-            "num_requests": num_requests,
-            "queue_depth": queue_depth,
-            "slo_factor": slo_factor,
-            "think_factor": think_factor,
-            "instructions": instructions,
-            "churn_every": churn_every,
-            "dram_wipe_bytes_per_cycle": dram_wipe_bytes_per_cycle,
-            "measurement_cycles_per_page": measurement_cycles_per_page,
-        }
-    )
-
-
-def fleet_shard_cache_key(
-    policy: str,
-    config: MI6Config,
-    seed: int,
-    *,
-    shard_index: int,
-    tenants: tuple,
-    num_tenants: int,
-    admission: str,
-    client: str,
-    load: float,
-    load_profile: str,
-    num_cores: int,
-    num_requests: int,
-    queue_depth: int,
-    slo_cycles: int,
-    think_factor: float,
-    instructions: int,
-    churn_every: int,
-    dram_wipe_bytes_per_cycle: int,
-    measurement_cycles_per_page: int,
-) -> str:
-    """Canonical cache key for one shard of a fleet simulation.
-
-    Shards are the engine's unit of parallel fan-out, so each needs its
-    own content-hash identity in the store's document layer.  The
-    digest covers everything the shard event loop consumes — including
-    the shard index (it seeds the shard's streams) and the exact tenant
-    placement the router produced — under its own ``kind``
-    discriminator.  The service-cycle table is excluded for the same
-    reason as in :func:`service_cache_key`; the router name is fleet-
-    level state (the placement it produced is hashed instead).
-    """
-    return _digest(
-        {
-            "schema": SCHEMA_VERSION,
-            "kind": "fleet-shard",
-            "policy": policy,
-            "config": config_to_dict(config),
-            "seed": seed,
-            "shard_index": shard_index,
-            "tenants": list(tenants),
-            "num_tenants": num_tenants,
-            "admission": admission,
-            "client": client,
-            "load": load,
-            "load_profile": load_profile,
-            "num_cores": num_cores,
-            "num_requests": num_requests,
-            "queue_depth": queue_depth,
-            "slo_cycles": slo_cycles,
-            "think_factor": think_factor,
-            "instructions": instructions,
-            "churn_every": churn_every,
-            "dram_wipe_bytes_per_cycle": dram_wipe_bytes_per_cycle,
-            "measurement_cycles_per_page": measurement_cycles_per_page,
-        }
-    )
+    payload: Dict[str, Any] = {"schema": SCHEMA_VERSION}
+    if kind is not None:
+        payload["kind"] = kind
+    for item in fields(request):
+        if DERIVED not in item.metadata:
+            payload[item.name] = _encode_value(getattr(request, item.name))
+    return _digest(payload)
 
 
 # ----------------------------------------------------------------------

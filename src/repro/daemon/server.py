@@ -40,6 +40,10 @@ DEFAULT_HOST = "127.0.0.1"
 #: Default TCP port.
 DEFAULT_PORT = 8642
 
+#: Largest ``POST /v1/run`` body the daemon reads (1 MiB, far above any
+#: request wire document); longer bodies are refused with 413 unread.
+MAX_REQUEST_BYTES = 1 << 20
+
 #: Allowed drop vs the committed baseline (mirrors the CI perf gate).
 PERF_GATE_MAX_REGRESSION_PERCENT = 20.0
 
@@ -256,10 +260,14 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         _LOGGER.info("%s %s", self.address_string(), format % args)
 
-    def _send_json(self, status: int, document: Dict[str, Any]) -> None:
+    def _send_json(
+        self, status: int, document: Dict[str, Any], *, close: bool = False
+    ) -> None:
         body = json.dumps(document, sort_keys=True).encode("utf-8")
         self._status = status
         self.send_response(status)
+        if close:  # also sets self.close_connection
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -339,7 +347,17 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            self._send_json(400, {"error": "bad Content-Length header"})
+            length = -1
+        if length < 0 or length > MAX_REQUEST_BYTES:
+            # Refuse before reading: a negative length would block the
+            # handler until the client closes, a huge one would be read
+            # into memory.  Closing keeps the unread body from being
+            # parsed as the next request on this connection.
+            if length < 0:
+                self._send_json(400, {"error": "bad Content-Length header"}, close=True)
+            else:
+                limit = f"request body of {length} bytes exceeds {MAX_REQUEST_BYTES}"
+                self._send_json(413, {"error": limit}, close=True)
             return
         try:
             document = json.loads(self.rfile.read(length))

@@ -1,36 +1,40 @@
 """Cache-key completeness rule: every spec field reaches its digest.
 
 The result store trusts that two runs sharing a cache key would execute
-the identical simulation.  That breaks the moment a new field lands on a
-request or spec dataclass without being folded into the corresponding
-``*_cache_key`` digest — cached results silently stop matching what a
-cold run would produce.  This rule closes the gap structurally:
+the identical simulation.  That breaks the moment a field that can
+change the outcome stays out of the digest — cached results silently
+stop matching what a cold run would produce.  Engine request kinds hash
+every dataclass field generically
+(:func:`repro.core.serialization.request_cache_key`), so the only way to
+keep a field out of a key is the ``derived("why")`` marker on the field
+itself.  This rule checks the markers and the places keys are still
+built by hand:
 
-* every parameter of a ``*_cache_key`` function must be *read* inside
-  its body (deleting the ``"load_profile": load_profile`` line from
-  ``service_cache_key`` is a finding);
-* every field of a dataclass that defines a ``cache_key`` method must be
-  consumed (``self.<field>``) inside that method;
+* every ``derived(...)`` marker carries a literal, non-empty
+  justification and is the default of an annotated dataclass field — a
+  marker that names no field (say, its annotation was lost, leaving a
+  plain class attribute) is a finding;
+* every parameter of a hand-written ``*_cache_key`` function must be
+  *read* inside its body;
+* every field of a dataclass that defines its own ``cache_key`` method
+  must be consumed (``self.<field>``) inside that method;
 * every field of a ``*Spec`` dataclass must be consumed by its
   ``requests()`` expansion, which is where spec fields become request
   fields and therefore digest inputs.
 
-Deliberate exclusions (derived state like ``ServiceRunRequest.service_cycles``)
-are declared in a module-level ``CACHE_KEY_EXCLUSIONS`` table mapping
-``owner -> {field: justification}``; empty justifications and stale
-entries are themselves findings, so the table stays honest.
+Fields marked ``derived`` are exempt from the two consumption checks.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.lint.engine import LintContext, Rule, SourceModule, register_rule
 from repro.lint.findings import Finding
 
-#: Name of the module-level exclusion table this rule consumes.
-EXCLUSION_TABLE = "CACHE_KEY_EXCLUSIONS"
+#: Name of the field marker this rule consumes.
+MARKER = "derived"
 
 #: Function-name suffix marking a digest builder.
 _KEY_SUFFIX = "_cache_key"
@@ -39,35 +43,24 @@ _KEY_SUFFIX = "_cache_key"
 _IGNORED_PARAMS = frozenset({"self", "cls"})
 
 
-def _parse_exclusions(
-    module: SourceModule,
-) -> Tuple[Optional[Dict[str, Dict[str, str]]], Optional[ast.stmt]]:
-    """The module's ``CACHE_KEY_EXCLUSIONS`` literal, if present.
+def _is_marker(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    target = node.func
+    if isinstance(target, ast.Name):
+        return target.id == MARKER
+    return isinstance(target, ast.Attribute) and target.attr == MARKER
 
-    Returns ``(table, node)``; the table is ``None`` when the assignment
-    exists but is not a literal owner -> {field: justification} dict.
-    """
-    for node in module.tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id == EXCLUSION_TABLE
-        ):
-            try:
-                value = ast.literal_eval(node.value)
-            except ValueError:
-                return None, node
-            if isinstance(value, dict) and all(
-                isinstance(owner, str) and isinstance(fields, dict)
-                for owner, fields in value.items()
-            ):
-                return {
-                    owner: {str(name): str(why) for name, why in fields.items()}
-                    for owner, fields in value.items()
-                }, node
-            return None, node
-    return {}, None
+
+def _justification(call: ast.Call) -> Optional[str]:
+    """The marker's literal justification, or ``None`` if it has none."""
+    arguments = list(call.args) + [keyword.value for keyword in call.keywords]
+    if len(arguments) != 1:
+        return None
+    argument = arguments[0]
+    if isinstance(argument, ast.Constant) and isinstance(argument.value, str):
+        return argument.value.strip() or None
+    return None
 
 
 def _read_names(body: List[ast.stmt]) -> Set[str]:
@@ -128,49 +121,32 @@ class CacheKeyRule(Rule):
     name = "cache-key"
     description = (
         "spec/request dataclass fields and *_cache_key parameters must all "
-        "reach the digest (or sit in CACHE_KEY_EXCLUSIONS with a reason)"
+        "reach the digest (or carry a justified derived() marker)"
     )
 
     def check(self, context: LintContext) -> Iterator[Finding]:
         for module in context.modules:
-            parsed, table_node = _parse_exclusions(module)
-            if parsed is None and table_node is not None:
-                yield self.finding(
-                    module,
-                    table_node,
-                    f"{EXCLUSION_TABLE} must be a literal dict of "
-                    "owner -> {field: justification}",
-                )
-            exclusions = parsed or {}
-            used_entries: Set[Tuple[str, str]] = set()
-            known_owners: Set[str] = set()
-
+            placed: Set[int] = set()
             for node in module.tree.body:
                 if isinstance(node, ast.FunctionDef) and node.name.endswith(
                     _KEY_SUFFIX
                 ):
-                    known_owners.add(node.name)
-                    yield from self._check_key_function(
-                        module, node, exclusions, used_entries
-                    )
+                    yield from self._check_key_function(module, node)
                 elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                    yield from self._check_dataclass(
-                        module, node, exclusions, used_entries, known_owners
+                    yield from self._check_dataclass(module, node, placed)
+            for node in ast.walk(module.tree):
+                if _is_marker(node) and id(node) not in placed:
+                    yield self.finding(
+                        module,
+                        node,
+                        f"{MARKER}() marker names no field: it must be the "
+                        "default of an annotated dataclass field",
                     )
-
-            if table_node is not None and parsed is not None:
-                yield from self._check_table(
-                    module, table_node, exclusions, used_entries, known_owners
-                )
 
     # ------------------------------------------------------------------
 
     def _check_key_function(
-        self,
-        module: SourceModule,
-        function: ast.FunctionDef,
-        exclusions: Dict[str, Dict[str, str]],
-        used_entries: Set[Tuple[str, str]],
+        self, module: SourceModule, function: ast.FunctionDef
     ) -> Iterator[Finding]:
         parameters = [
             argument.arg
@@ -182,28 +158,32 @@ class CacheKeyRule(Rule):
             if argument.arg not in _IGNORED_PARAMS
         ]
         reads = _read_names(function.body)
-        excluded = exclusions.get(function.name, {})
         for parameter in parameters:
-            if parameter in excluded:
-                used_entries.add((function.name, parameter))
-                continue
             if parameter not in reads:
                 yield self.finding(
                     module,
                     function,
                     f"{function.name}() parameter {parameter!r} never reaches "
-                    "the digest: every key input must be hashed or excluded "
-                    f"in {EXCLUSION_TABLE} with a justification",
+                    "the digest: every key input must be hashed",
                 )
 
     def _check_dataclass(
-        self,
-        module: SourceModule,
-        node: ast.ClassDef,
-        exclusions: Dict[str, Dict[str, str]],
-        used_entries: Set[Tuple[str, str]],
-        known_owners: Set[str],
+        self, module: SourceModule, node: ast.ClassDef, placed: Set[int]
     ) -> Iterator[Finding]:
+        derived: Set[str] = set()
+        for field_name, field_node in _dataclass_fields(node):
+            marker = field_node.value
+            if isinstance(marker, ast.Call) and _is_marker(marker):
+                placed.add(id(marker))
+                derived.add(field_name)
+                if _justification(marker) is None:
+                    yield self.finding(
+                        module,
+                        field_node,
+                        f"{node.name}.{field_name} has a {MARKER}() marker "
+                        "without a literal justification: say why the field "
+                        "cannot change the outcome",
+                    )
         consumer: Optional[ast.FunctionDef] = _method(node, "cache_key")
         consumer_label = "cache_key()"
         if consumer is None and node.name.endswith("Spec"):
@@ -211,57 +191,17 @@ class CacheKeyRule(Rule):
             consumer_label = "requests()"
         if consumer is None:
             return
-        known_owners.add(node.name)
         consumed = _self_attribute_reads(consumer)
-        excluded = exclusions.get(node.name, {})
         for field_name, field_node in _dataclass_fields(node):
-            if field_name in excluded:
-                used_entries.add((node.name, field_name))
-                continue
-            if field_name not in consumed:
+            if field_name not in derived and field_name not in consumed:
                 yield self.finding(
                     module,
                     field_node,
                     f"{node.name}.{field_name} is not consumed by "
                     f"{consumer_label}: a field that can change the outcome "
-                    "must reach the cache key, or be excluded in "
-                    f"{EXCLUSION_TABLE} with a justification",
+                    f"must reach the cache key, or be marked {MARKER}() "
+                    "with a justification",
                 )
-
-    def _check_table(
-        self,
-        module: SourceModule,
-        table_node: ast.stmt,
-        exclusions: Dict[str, Dict[str, str]],
-        used_entries: Set[Tuple[str, str]],
-        known_owners: Set[str],
-    ) -> Iterator[Finding]:
-        for owner, fields in exclusions.items():
-            if owner not in known_owners:
-                yield self.finding(
-                    module,
-                    table_node,
-                    f"{EXCLUSION_TABLE} names unknown owner {owner!r}: stale "
-                    "entries hide future gaps; delete or fix the name",
-                )
-                continue
-            for field_name, justification in fields.items():
-                if not justification.strip():
-                    yield self.finding(
-                        module,
-                        table_node,
-                        f"{EXCLUSION_TABLE}[{owner!r}][{field_name!r}] has an "
-                        "empty justification: say why the field cannot "
-                        "change the outcome",
-                    )
-                if (owner, field_name) not in used_entries:
-                    yield self.finding(
-                        module,
-                        table_node,
-                        f"{EXCLUSION_TABLE}[{owner!r}] excludes {field_name!r} "
-                        "which is not a field/parameter of that owner: stale "
-                        "entries hide future gaps; delete it",
-                    )
 
 
 register_rule(CacheKeyRule())

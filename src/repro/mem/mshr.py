@@ -159,10 +159,6 @@ class MshrFile:
         """All live entries belonging to ``core``."""
         return [entry for entry in self._entries.values() if entry.core == core]
 
-    def live_entries(self) -> List[MshrEntry]:
-        """All live entries."""
-        return list(self._entries.values())
-
     def reset(self) -> None:
         """Drop all entries (between independent simulations)."""
         self._entries.clear()

@@ -19,7 +19,7 @@ reproduction, it never feeds it.  Three modules:
   exporter behind ``--trace out.json`` and ``repro trace summary``.
 
 Inertness contract: outcomes, persisted store documents, and every
-``*_cache_key`` digest are bit-identical with tracing on or off.  Spans
+cache key are bit-identical with tracing on or off.  Spans
 accumulate on a tracer object installed out-of-band
 (:func:`~repro.obs.trace.tracing`); when no tracer is installed the
 instrumentation sites reduce to one hoisted ``None`` check.

@@ -12,22 +12,12 @@ mailbox traffic — which the tests use to show the monitor holds the line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.common.errors import SecurityMonitorError
 from repro.monitor.enclave import Enclave
 from repro.monitor.security_monitor import OS_DOMAIN_ID, SecurityMonitor
 from repro.os_model.machine import Machine
-
-
-@dataclass
-class OsProcess:
-    """An ordinary (non-enclave) process managed entirely by the OS."""
-
-    pid: int
-    name: str
-    pages: List[int] = field(default_factory=list)
 
 
 class UntrustedOS:
@@ -47,8 +37,6 @@ class UntrustedOS:
         # monitor regions).
         machine.core(0).install_domain(self.domain)
         self._next_free_page = address_map.region_base(min(os_regions))
-        self._processes: Dict[int, OsProcess] = {}
-        self._next_pid = 100
         self.enclaves: Dict[int, Enclave] = {}
 
     # ------------------------------------------------------------------
@@ -61,13 +49,6 @@ class UntrustedOS:
             pages.append(self._next_free_page)
             self._next_free_page += page_bytes
         return pages
-
-    def spawn_process(self, name: str, pages: int = 16) -> OsProcess:
-        """Create an ordinary process with sequentially allocated memory."""
-        process = OsProcess(pid=self._next_pid, name=name, pages=self.allocate_pages(pages))
-        self._next_pid += 1
-        self._processes[process.pid] = process
-        return process
 
     # ------------------------------------------------------------------
     # Enclave management (always via the monitor)

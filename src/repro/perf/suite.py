@@ -28,7 +28,6 @@ from repro.analysis.engine import (
     evaluation_config,
     execute_fleet_request,
     request_for,
-    resolve_fleet_cycles,
     resolve_service_cycles,
 )
 from repro.core.serialization import config_digest
@@ -335,7 +334,7 @@ def run_fleet_case(
             read off the instrumented run.
     """
     request = pinned_fleet_request(seed)
-    cycles = resolve_fleet_cycles(request)
+    cycles = resolve_service_cycles(request)
     priced = replace(request, service_cycles=tuple(sorted(cycles.items())))
 
     def _fleet() -> FleetOutcome:

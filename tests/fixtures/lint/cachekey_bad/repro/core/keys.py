@@ -1,23 +1,19 @@
-"""Bad fixture: digest gaps in a key function and a request dataclass."""
+"""Bad fixture: digest gaps in a key function, a request and a spec, plus
+an unjustified derived() marker and one that names no field."""
 
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import Optional
 
-CACHE_KEY_EXCLUSIONS = {
-    "service_cache_key": {
-        "seed": "",
-    },
-    "GhostRequest": {
-        "payload": "stale: no such owner ships a cache_key here",
-    },
-}
+from repro.core.serialization import derived
 
 
 def service_cache_key(policy, config, seed, *, load, load_profile):
     payload = {
         "policy": policy,
         "config": config,
+        "seed": seed,
         "load": load,
     }
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
@@ -35,6 +31,18 @@ class RunRequest:
             "instructions": self.instructions,
         }
         return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+@dataclass(frozen=True)
+class ServiceRequest:
+    policy: str
+    service_cycles: Optional[dict] = derived("")
+
+
+@dataclass(frozen=True)
+class FleetRequest:
+    policy: str
+    service_cycles = derived("resolved through the run layer")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,11 @@
-"""Good fixture: every field reaches its digest or sits in the table."""
+"""Good fixture: every field reaches its digest or carries a justified marker."""
 
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import Optional
 
-CACHE_KEY_EXCLUSIONS = {
-    "RunRequest": {
-        "service_cycles": "derived deterministically from the other fields",
-    },
-}
+from repro.core.serialization import derived
 
 
 def service_cache_key(policy, config, seed, *, load, load_profile):
@@ -27,7 +24,9 @@ class RunRequest:
     benchmark: str
     instructions: int
     seed: int
-    service_cycles: dict
+    service_cycles: Optional[dict] = derived(
+        "derived deterministically from the other fields"
+    )
 
     def cache_key(self):
         payload = {

@@ -1,5 +1,7 @@
 """Session/Request API: envelopes, provenance, placement, seed plumbing."""
 
+import pickle
+
 import pytest
 
 from repro.analysis.engine import ScenarioRequest as EngineScenarioRequest
@@ -145,7 +147,8 @@ class TestScenarioRequests:
         pair = EngineScenarioRequest("prime_probe", BASE, seed=7, num_cores=2)
         quad = EngineScenarioRequest("prime_probe", BASE, seed=7, num_cores=4)
         assert pair.cache_key() != quad.cache_key()
-        assert EngineScenarioRequest.from_payload(quad.to_payload()) == quad
+        # The request itself is the pool payload.
+        assert pickle.loads(pickle.dumps(quad)) == quad
 
     def test_property1_holds_on_larger_machines(self):
         s = session()

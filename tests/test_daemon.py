@@ -8,9 +8,11 @@ boundary: concurrent writers hammer one cache directory and every
 entry must parse afterwards (atomic replace + per-entry locks).
 """
 
+import http.client
 import json
 import multiprocessing
 import threading
+import urllib.request
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.analysis.store import ResultStore
 from repro.api import Session, SweepRequest, WorkloadRequest, result_to_wire
 from repro.cli import main as cli_main
 from repro.daemon import DaemonClient, DaemonError, JobRegistry, ReproDaemonServer
+from repro.daemon.server import MAX_REQUEST_BYTES
 
 SWEEP_FIELDS = {
     "variants": ("BASE", "FLUSH"),
@@ -132,6 +135,37 @@ class TestRun:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(http_request, timeout=10)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [("-1", 400), (str(MAX_REQUEST_BYTES + 1), 413), ("lots", 400)],
+        ids=["negative", "oversized", "unparseable"],
+    )
+    def test_bad_content_length_is_refused_unread(self, daemon, length, status):
+        # No body follows: before the fix, reading a length of -1 blocked
+        # the handler until the client closed, and an oversized length
+        # waited for (and buffered) the whole body.
+        connection = http.client.HTTPConnection("127.0.0.1", daemon.server_port, timeout=5)
+        try:
+            connection.putrequest("POST", "/v1/run")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == status
+            assert "error" in json.loads(response.read())
+            assert response.getheader("Connection") == "close"
+        finally:
+            connection.close()
+
+    def test_body_at_the_limit_is_read(self, client):
+        document = SweepRequest(**SWEEP_FIELDS).to_wire()
+        body = json.dumps(document).encode()
+        padded = body + b" " * (MAX_REQUEST_BYTES - len(body))
+        http_request = urllib.request.Request(
+            f"{client.base_url}/v1/run", data=padded, method="POST"
+        )
+        with urllib.request.urlopen(http_request, timeout=30) as response:
+            assert response.status == 200
 
     def test_unknown_mode_is_400(self, client):
         with pytest.raises(DaemonError, match="unknown mode"):

@@ -1,14 +1,22 @@
 """Tests for the experiment engine, serialization, and result store."""
 
 import json
+import pickle
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.analysis.engine import (
+    REQUEST_KINDS,
     EvaluationSettings,
+    ExperimentResult,
     ExperimentSpec,
+    FleetRunRequest,
     ParallelRunner,
     RunRequest,
+    ScenarioRequest,
+    ServiceRunRequest,
+    _pool_worker,
     execute_request,
     request_for,
 )
@@ -16,6 +24,7 @@ from repro.analysis.store import ResultStore
 from repro.core.config import MI6Config
 from repro.core.processor import MI6Processor
 from repro.core.serialization import (
+    DERIVED,
     config_digest,
     config_from_dict,
     config_to_dict,
@@ -144,6 +153,12 @@ class TestResultStore:
         assert store.directory is None
 
 
+def run_sweep(runner, spec):
+    """Execute a sweep on ``runner`` and index its runs."""
+    requests = spec.requests()
+    return ExperimentResult(spec=spec, requests=requests, runs=runner.run("run", requests))
+
+
 class TestParallelRunner:
     SPEC = ExperimentSpec(
         variants=(Variant.BASE, Variant.ARB, Variant.NONSPEC),
@@ -152,20 +167,20 @@ class TestParallelRunner:
     )
 
     def test_serial_and_parallel_sweeps_are_bit_identical(self):
-        serial = ParallelRunner(ResultStore.in_memory(), jobs=1).run_spec(self.SPEC)
-        parallel = ParallelRunner(ResultStore.in_memory(), jobs=2).run_spec(self.SPEC)
+        serial = run_sweep(ParallelRunner(ResultStore.in_memory(), jobs=1), self.SPEC)
+        parallel = run_sweep(ParallelRunner(ResultStore.in_memory(), jobs=2), self.SPEC)
         assert len(serial.runs) == self.SPEC.size
         for serial_run, parallel_run in zip(serial.runs, parallel.runs):
             assert runs_equal(serial_run, parallel_run)
 
     def test_warm_start_from_disk(self, tmp_path):
         cold = ParallelRunner(ResultStore(tmp_path / "cache"), jobs=2)
-        cold_result = cold.run_spec(self.SPEC)
+        cold_result = run_sweep(cold, self.SPEC)
         assert cold.executed_runs == self.SPEC.size
         assert cold.warm_runs == 0
 
         warm = ParallelRunner(ResultStore(tmp_path / "cache"), jobs=2)
-        warm_result = warm.run_spec(self.SPEC)
+        warm_result = run_sweep(warm, self.SPEC)
         assert warm.executed_runs == 0
         assert warm.warm_runs == self.SPEC.size
         for cold_run, warm_run in zip(cold_result.runs, warm_result.runs):
@@ -174,7 +189,7 @@ class TestParallelRunner:
     def test_duplicate_requests_simulate_once(self):
         runner = ParallelRunner(ResultStore.in_memory())
         request = request_for(Variant.BASE, "hmmer", SMALL)
-        first, second = runner.run([request, request])
+        first, second = runner.run("run", [request, request])
         assert first is second
         assert runner.executed_runs == 1
         # Store counters see one miss (one simulation), not one per position.
@@ -189,7 +204,7 @@ class TestParallelRunner:
         assert requests["BASE"].instructions == 2500
 
     def test_experiment_result_indexing(self):
-        result = ParallelRunner(ResultStore.in_memory()).run_spec(self.SPEC)
+        result = run_sweep(ParallelRunner(ResultStore.in_memory()), self.SPEC)
         run = result.run_for(Variant.ARB, "libquantum")
         assert run.config_name == "ARB"
         assert run.benchmark == "libquantum"
@@ -234,3 +249,92 @@ class TestSpec:
             ("ARB", "mcf", 1),
             ("ARB", "mcf", 2),
         ]
+
+
+# ----------------------------------------------------------------------
+# The request-kind registry: keys, derived fields, pool transport
+
+
+def _sample_requests():
+    """One request per registered kind (the shard lowered from the fleet)."""
+    config = config_for_variant(Variant.F_P_M_A)
+    fleet = FleetRunRequest(policy="affinity", config=config, seed=4, num_shards=3)
+    cycles = {
+        workload.benchmark: 10_000 + 37 * index
+        for index, workload in enumerate(fleet.workload_requests())
+    }
+    return {
+        "run": RunRequest(config=config, benchmark="gcc", instructions=2_000, seed=1),
+        "scenario": ScenarioRequest("prime_probe", config, seed=3),
+        "service": ServiceRunRequest(policy="fifo", config=config, seed=9, churn_every=5),
+        "fleet-shard": fleet.shard_plan(cycles).shard_requests[0],
+        "fleet": fleet,
+    }
+
+
+def _changed(value):
+    """A different value of the same shape (cache keys never validate)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value + 0.125
+    if isinstance(value, str):
+        return value + "-x"
+    if isinstance(value, tuple):
+        return value + (len(value) + 100,)
+    if isinstance(value, MI6Config):
+        return replace(value, trap_interval_instructions=value.trap_interval_instructions + 1)
+    raise AssertionError(f"no mutation for {value!r}")
+
+
+def _derived_fields(request):
+    return {item.name for item in fields(request) if DERIVED in item.metadata}
+
+
+class TestRequestKinds:
+    def test_every_kind_is_sampled(self):
+        samples = _sample_requests()
+        assert list(samples) == list(REQUEST_KINDS)
+        for name, request in samples.items():
+            assert type(request) is REQUEST_KINDS[name].request_type
+
+    @pytest.mark.parametrize("kind", list(REQUEST_KINDS))
+    def test_changing_any_keyed_field_changes_the_key(self, kind):
+        request = _sample_requests()[kind]
+        keyed = [item.name for item in fields(request) if DERIVED not in item.metadata]
+        assert keyed
+        for name in keyed:
+            changed = replace(request, **{name: _changed(getattr(request, name))})
+            assert changed.cache_key() != request.cache_key(), name
+
+    @pytest.mark.parametrize("kind", list(REQUEST_KINDS))
+    def test_only_service_cycles_is_derived_and_it_is_unkeyed(self, kind):
+        request = _sample_requests()[kind]
+        derived_fields = _derived_fields(request)
+        if kind in ("run", "scenario"):
+            assert derived_fields == set()
+            return
+        assert derived_fields == {"service_cycles"}
+        for table in ((("gcc", 1),), (("gcc", 2), ("mcf", 3))):
+            assert replace(request, service_cycles=table).cache_key() == request.cache_key()
+
+    def test_kind_tags_keep_key_spaces_disjoint(self):
+        samples = _sample_requests()
+        assert REQUEST_KINDS["run"].digest_tag is None
+        tags = [kind.digest_tag for kind in REQUEST_KINDS.values()]
+        assert len(set(tags)) == len(tags)
+        assert len({request.cache_key() for request in samples.values()}) == len(samples)
+
+    @pytest.mark.parametrize("kind", list(REQUEST_KINDS))
+    def test_requests_round_trip_through_pickle(self, kind):
+        request = _sample_requests()[kind]
+        again = pickle.loads(pickle.dumps(request))
+        assert again == request
+        assert again.cache_key() == request.cache_key()
+
+    def test_pool_worker_matches_in_process_execution(self):
+        request = _sample_requests()["run"]
+        shipped = _pool_worker(("run", request, False))
+        assert shipped == {"value": run_to_dict(execute_request(request))}

@@ -1,17 +1,17 @@
 """Tests for the fleet-scale sharded serving subsystem (repro/fleet)."""
 
 import json
+import pickle
 from dataclasses import replace
 
 import pytest
 
 from repro.analysis.engine import (
     FleetRunRequest,
-    FleetShardRequest,
     FleetSpec,
     evaluation_config,
     execute_fleet_request,
-    resolve_fleet_cycles,
+    resolve_service_cycles,
 )
 from repro.analysis.figures import (
     FLEET_TABLE_TITLE,
@@ -380,9 +380,8 @@ class TestEngineRequests:
         request = small_request(churn_every=3, router="least_loaded")
         plan = priced(request).shard_plan(synthetic_cycles())
         shard_request = plan.shard_requests[0]
-        assert FleetShardRequest.from_payload(shard_request.to_payload()) == (
-            shard_request
-        )
+        # The request itself, priced, is the pool payload.
+        assert pickle.loads(pickle.dumps(shard_request)) == shard_request
         assert shard_request.cache_key() != plan.shard_requests[1].cache_key()
 
     def test_shard_plan_partitions_tenants_and_budget(self):
@@ -428,7 +427,7 @@ class TestEngineRequests:
 
     def test_resolve_fleet_cycles_covers_all_tenant_benchmarks(self):
         request = small_request(num_requests=4, instructions=400)
-        cycles = resolve_fleet_cycles(request)
+        cycles = resolve_service_cycles(request)
         assert set(cycles) == set(tenant_benchmarks(request.num_tenants))
         assert all(value > 0 for value in cycles.values())
 

@@ -3,13 +3,16 @@
 Covers every rule family against good/bad fixture trees under
 ``tests/fixtures/lint/``, the suppression and baseline mechanisms, the
 ``repro lint`` CLI surface, the shipped-tree self-check, and the
-mutation checks the issue calls for: deleting a field-consuming line
-from ``service_cache_key`` or stripping the sanctioned-tap annotations
-from ``mem/cache.py`` must turn the lint red.
+mutation checks: hiding a service request field behind an unjustified
+``derived()`` marker, stripping or orphaning the shipped marker,
+dropping a spec field from ``requests()``, or stripping the
+sanctioned-tap annotations from ``mem/cache.py`` must turn the lint
+red.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,8 +102,12 @@ class TestCacheKeyRule:
         assert "parameter 'load_profile' never reaches the digest" in found
         assert "RunRequest.seed is not consumed by cache_key()" in found
         assert "SweepSpec.instructions is not consumed by requests()" in found
-        assert "empty justification" in found
-        assert "unknown owner 'GhostRequest'" in found
+        assert (
+            "ServiceRequest.service_cycles has a derived() marker without a "
+            "literal justification" in found
+        )
+        assert "derived() marker names no field" in found
+        assert len(report.findings) == 5
 
     def test_good_fixture_is_clean(self):
         report = lint_fixture("cachekey_good", rules=["cache-key"])
@@ -437,20 +444,60 @@ class TestShippedTree:
             "config",
         ],
     )
-    def test_deleting_a_service_cache_key_line_fails_lint(self, tmp_path, field):
-        source = (REPO_ROOT / "src/repro/core/serialization.py").read_text()
-        needle = f'"{field}":'
-        assert needle in source
-        mutated = "\n".join(
-            line for line in source.splitlines() if needle not in line
+    def test_unjustified_derived_marker_on_a_service_field_fails_lint(
+        self, tmp_path, field
+    ):
+        source = (REPO_ROOT / "src/repro/analysis/engine.py").read_text()
+        start = source.index("class ServiceRunRequest(")
+        end = source.index("\n\n\n", start)
+        block = source[start:end]
+        marked, count = re.subn(
+            rf"^    {field}: .*$", f'    {field}: Any = derived("")', block, flags=re.M
         )
-        assert mutated != source
+        assert count == 1
+        mutated = source[:start] + marked + source[end:]
         report = lint_mutated(
-            tmp_path, "repro/core/serialization.py", mutated, rules=["cache-key"]
+            tmp_path, "repro/analysis/engine.py", mutated, rules=["cache-key"]
         )
         assert any(
-            "service_cache_key" in m and f"{field!r}" in m for m in messages(report)
-        ), f"deleting the {field} line must be a cache-key finding"
+            f"ServiceRunRequest.{field} has a derived() marker" in m
+            for m in messages(report)
+        ), f"hiding {field} behind an unjustified marker must be a cache-key finding"
+
+    @pytest.mark.parametrize(
+        "pattern, replacement, expected",
+        [
+            (
+                r'(service_cycles: .* = derived\()\n(?:        ".*"\n)+    \)',
+                r'\1"   ")',
+                "ServiceRunRequest.service_cycles has a derived() marker",
+            ),
+            (
+                r"service_cycles: .* = derived\(",
+                "service_cycles = derived(",
+                "derived() marker names no field",
+            ),
+            (
+                r"(\n                churn_every=)self\.churn_every,",
+                r"\g<1>0,",
+                "ServiceSpec.churn_every is not consumed by requests()",
+            ),
+        ],
+        ids=["unjustified", "names-no-field", "spec-field-dropped"],
+    )
+    def test_mutating_the_shipped_markers_fails_lint(
+        self, tmp_path, pattern, replacement, expected
+    ):
+        source = (REPO_ROOT / "src/repro/analysis/engine.py").read_text()
+        start = source.index("class ServiceRunRequest(")
+        end = source.index("class FleetShardRequest(")
+        block, count = re.subn(pattern, replacement, source[start:end], count=1)
+        assert count == 1
+        mutated = source[:start] + block + source[end:]
+        report = lint_mutated(
+            tmp_path, "repro/analysis/engine.py", mutated, rules=["cache-key"]
+        )
+        assert any(expected in m for m in messages(report))
 
     def test_stripping_cache_rng_annotations_fails_lint(self, tmp_path):
         source = (REPO_ROOT / "src/repro/mem/cache.py").read_text()

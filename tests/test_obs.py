@@ -52,12 +52,16 @@ def run_service_spec(jobs, tracer=None, directory=None):
     spec = ServiceSpec.create(**SPEC_FIELDS)
     store = ResultStore.in_memory() if directory is None else ResultStore(directory)
     runner = ParallelRunner(store=store, jobs=jobs)
+    requests = spec.requests()
     if tracer is None:
-        pairs = runner.run_service_spec(spec)
+        outcomes = runner.run("service", requests)
     else:
         with tracing(tracer):
-            pairs = runner.run_service_spec(spec)
-    return [(request.cache_key(), outcome.to_dict()) for request, outcome in pairs]
+            outcomes = runner.run("service", requests)
+    return [
+        (request.cache_key(), outcome.to_dict())
+        for request, outcome in zip(requests, outcomes)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ keys, store persistence, serial/parallel equivalence, security table).
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -155,7 +156,7 @@ class TestScenarioProperty1:
 class TestScenarioEngine:
     def test_request_round_trips_and_keys_are_content_sensitive(self):
         request = ScenarioRequest("spectre", MI6, seed=7)
-        again = ScenarioRequest.from_payload(request.to_payload())
+        again = pickle.loads(pickle.dumps(request))  # the pool payload
         assert again == request
         assert again.cache_key() == request.cache_key()
         other_variant = ScenarioRequest("spectre", BASE, seed=7)
@@ -170,10 +171,10 @@ class TestScenarioEngine:
     def test_warm_start_from_disk(self, tmp_path):
         spec = ScenarioSpec.create(scenarios=["branch_residue"], seeds=[2019])
         cold_runner = ParallelRunner(ResultStore(tmp_path))
-        cold = cold_runner.run_scenarios(spec.requests())
+        cold = cold_runner.run("scenario", spec.requests())
         assert cold_runner.executed_runs == spec.size == 2
         warm_runner = ParallelRunner(ResultStore(tmp_path))
-        warm = warm_runner.run_scenarios(spec.requests())
+        warm = warm_runner.run("scenario", spec.requests())
         assert warm_runner.executed_runs == 0
         assert warm_runner.warm_runs == spec.size
         assert [outcome.to_dict() for outcome in warm] == [
@@ -184,11 +185,11 @@ class TestScenarioEngine:
         spec = ScenarioSpec.create(
             scenarios=["branch_residue", "spectre"], seeds=[2019]
         )
-        serial = ParallelRunner(ResultStore.in_memory(), jobs=1).run_scenarios(
-            spec.requests()
+        serial = ParallelRunner(ResultStore.in_memory(), jobs=1).run(
+            "scenario", spec.requests()
         )
-        parallel = ParallelRunner(ResultStore.in_memory(), jobs=2).run_scenarios(
-            spec.requests()
+        parallel = ParallelRunner(ResultStore.in_memory(), jobs=2).run(
+            "scenario", spec.requests()
         )
         assert [outcome.to_dict() for outcome in serial] == [
             outcome.to_dict() for outcome in parallel

@@ -1,6 +1,7 @@
 """Tests for the enclave-serving subsystem (repro/service)."""
 
 import json
+import pickle
 
 import pytest
 
@@ -269,7 +270,8 @@ class TestEngineRequests:
         from dataclasses import replace
 
         shipped = replace(request, service_cycles=table)
-        assert ServiceRunRequest.from_payload(shipped.to_payload()) == shipped
+        # The request itself, priced, is the pool payload.
+        assert pickle.loads(pickle.dumps(shipped)) == shipped
 
     def test_workload_requests_cover_tenant_benchmarks(self):
         request = small_request(num_tenants=13)
