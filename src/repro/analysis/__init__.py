@@ -9,23 +9,30 @@ both; :mod:`repro.analysis.report` renders the paper-vs-measured tables
 printed by the benchmark harness and recorded in EXPERIMENTS.md.
 """
 
-from repro.analysis.engine import (
-    EvaluationSettings,
-    ExperimentResult,
-    ExperimentSpec,
-    ParallelRunner,
-    RunRequest,
-    execute_request,
-    request_for,
-)
-from repro.analysis.harness import (
-    cached_run,
-    clear_run_cache,
-    overhead_percent,
-    run_figure_series,
-)
-from repro.analysis.report import format_comparison_table, format_series_table, geometric_mean
-from repro.analysis.store import ResultStore
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro.common.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.engine import (
+        EvaluationSettings,
+        ExperimentResult,
+        ExperimentSpec,
+        ParallelRunner,
+        RunRequest,
+        execute_request,
+        request_for,
+    )
+    from repro.analysis.harness import (
+        cached_run,
+        clear_run_cache,
+        overhead_percent,
+        run_figure_series,
+    )
+    from repro.analysis.report import format_comparison_table, format_series_table, geometric_mean
+    from repro.analysis.store import ResultStore
 
 __all__ = [
     "EvaluationSettings",
@@ -44,3 +51,30 @@ __all__ = [
     "request_for",
     "run_figure_series",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.engine": (
+            "EvaluationSettings",
+            "ExperimentResult",
+            "ExperimentSpec",
+            "ParallelRunner",
+            "RunRequest",
+            "execute_request",
+            "request_for",
+        ),
+        "repro.analysis.harness": (
+            "cached_run",
+            "clear_run_cache",
+            "overhead_percent",
+            "run_figure_series",
+        ),
+        "repro.analysis.report": (
+            "format_comparison_table",
+            "format_series_table",
+            "geometric_mean",
+        ),
+        "repro.analysis.store": ("ResultStore",),
+    },
+)

@@ -32,14 +32,26 @@ in parallel, or split across separate processes on different days.
 
 from __future__ import annotations
 
+import importlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from repro.attacks.scenarios import ScenarioOutcome, run_scenario, scenario_names
-from repro.core.config import MI6Config
-from repro.core.processor import WorkloadRun
+from repro.attacks.outcome import ScenarioOutcome
+from repro.attacks.scenarios import run_scenario, scenario_names
+from repro.core.config import DEFAULT_SEED, MI6Config
+from repro.core.outcome import WorkloadRun
 from repro.core.serialization import (
     derived,
     request_cache_key,
@@ -48,8 +60,7 @@ from repro.core.serialization import (
 )
 from repro.fleet.admission import admission_names
 from repro.fleet.clients import client_model_names
-from repro.fleet.routing import TenantLoad, assign_tenants, router_names
-from repro.fleet.simulation import (
+from repro.fleet.outcome import (
     DEFAULT_FLEET_SHARDS,
     DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
     DEFAULT_QUEUE_DEPTH,
@@ -59,22 +70,19 @@ from repro.fleet.simulation import (
     FleetOutcome,
     ShardOutcome,
     empty_shard_outcome,
-    estimate_boundary_cycles,
     merge_shard_outcomes,
-    run_fleet_shard,
 )
+from repro.fleet.routing import TenantLoad, assign_tenants, router_names
 from repro.service.arrivals import LOAD_PROFILES
-from repro.service.schedulers import policy_names
-from repro.service.simulation import (
+from repro.service.outcome import (
     DEFAULT_SERVICE_CORES,
     DEFAULT_SERVICE_INSTRUCTIONS,
     DEFAULT_SERVICE_REQUESTS,
     DEFAULT_SERVICE_TENANTS,
     ServiceOutcome,
-    run_service,
     tenant_benchmarks,
 )
-from repro.core.simulator import DEFAULT_SEED, Simulator
+from repro.service.schedulers import policy_names
 from repro.core.mitigations import config_for_spec
 from repro.obs.metrics import global_registry
 from repro.obs.trace import Tracer, active_tracer, set_active_tracer, wall_span
@@ -88,6 +96,11 @@ from repro.core.variants import (
 from repro.analysis.store import ResultStore
 from repro.workloads.spec_cint2006 import benchmark_names
 
+if TYPE_CHECKING:
+    from repro.core.simulator import Simulator
+    from repro.fleet.simulation import estimate_boundary_cycles, run_fleet_shard
+    from repro.service.simulation import run_service
+
 #: Environment variable controlling how many instructions each run commits.
 INSTRUCTIONS_ENV_VAR = "REPRO_BENCH_INSTRUCTIONS"
 #: Environment variable controlling the sweep seed.
@@ -100,6 +113,49 @@ DEFAULT_INSTRUCTIONS = 30_000
 NONSPEC_INSTRUCTIONS_FRACTION = 0.5
 #: Floor on the scaled timer-trap interval (see EXPERIMENTS.md).
 MIN_TRAP_INTERVAL = 5_000
+
+#: Modules of the simulator the execute functions run: the cycle kernel,
+#: the attack machinery, and the serving machines with their monitor.
+#: They load on first dispatch (:func:`_load_simulator`), not at import,
+#: so a warm store hit never imports them; the parent process loads
+#: them before opening a process pool, so forked workers inherit them.
+SIMULATOR_MODULES = (
+    "repro.core.simulator",
+    "repro.attacks.coschedule",
+    "repro.os_model.machine",
+    "repro.service.simulation",
+    "repro.fleet.simulation",
+)
+
+#: Simulator entry points the execute functions call, by owning module.
+#: Each becomes a module attribute of this engine when the simulator
+#: loads, and calls read it from there, so a probe or test that wraps
+#: one with ``setattr`` reaches in-process and pool-worker calls alike.
+_ENTRY_POINTS: Dict[str, str] = {
+    "Simulator": "repro.core.simulator",
+    "run_service": "repro.service.simulation",
+    "run_fleet_shard": "repro.fleet.simulation",
+    "estimate_boundary_cycles": "repro.fleet.simulation",
+}
+
+
+def _load_simulator() -> None:
+    """Import :data:`SIMULATOR_MODULES` and bind the unbound entry points."""
+    for module in SIMULATOR_MODULES:
+        importlib.import_module(module)
+    namespace = globals()
+    for name, module in _ENTRY_POINTS.items():
+        if name not in namespace:
+            namespace[name] = getattr(importlib.import_module(module), name)
+
+
+def __getattr__(name: str) -> Any:
+    """Simulator entry points resolve (loading the simulator) on first use."""
+    if name not in _ENTRY_POINTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_simulator()
+    return globals()[name]
+
 
 #: Process-wide count of simulations actually executed (cache misses);
 #: snapshotted into BENCH records by ``repro perf --record``.
@@ -235,6 +291,7 @@ def request_for(
 
 def execute_request(request: RunRequest) -> WorkloadRun:
     """Simulate one request on a fresh machine (the only place runs happen)."""
+    _load_simulator()
     simulator = Simulator(request.config, seed=request.seed)
     return simulator.run(
         request.benchmark,
@@ -423,6 +480,7 @@ def _service_cycles(
 
 def execute_service_request(request: ServiceRunRequest) -> ServiceOutcome:
     """Run one serving simulation (the only place service runs happen)."""
+    _load_simulator()
     return run_service(
         request.config,
         request.policy,
@@ -624,6 +682,7 @@ class FleetShardRequest(_EngineRequest):
 
 def execute_fleet_shard_request(request: FleetShardRequest) -> ShardOutcome:
     """Run one shard simulation (the only place shard runs happen)."""
+    _load_simulator()
     return run_fleet_shard(
         request.config,
         request.policy,
@@ -716,6 +775,7 @@ class FleetRunRequest(_EngineRequest):
         left empty (or with a zero budget) produce no request — the
         merge fills their rows with :func:`empty_shard_outcome`.
         """
+        _load_simulator()
         benchmarks = tenant_benchmarks(self.num_tenants)
         boundary = estimate_boundary_cycles(
             self.config,
@@ -1329,6 +1389,9 @@ class ParallelRunner:
         """Execute store misses, over the process pool when ``jobs > 1``."""
         declared = REQUEST_KINDS[kind]
         _SIMULATIONS_TOTAL.inc(len(requests))
+        # Before any fork: workers inherit the loaded simulator instead
+        # of each importing it again.
+        _load_simulator()
         with wall_span(
             "worker-dispatch", track="engine", pending=len(requests), jobs=self.jobs
         ):
@@ -1337,6 +1400,8 @@ class ParallelRunner:
                 # records sim spans directly.
                 execute = globals()[declared.execute]
                 return [execute(request) for request in requests]
+            from concurrent.futures import ProcessPoolExecutor
+
             tracer = active_tracer()
             envelopes = [(kind, request, tracer is not None) for request in requests]
             produced = []

@@ -25,8 +25,7 @@ from repro.api.requests import ScenarioRequest, ServiceRequest
 from repro.api.session import coerce_session
 from repro.core.mitigations import VariantLike, config_for_spec
 from repro.core.variants import Variant
-from repro.obs.export import trace_spans
-from repro.service.simulation import (
+from repro.service.outcome import (
     DEFAULT_SERVICE_CORES,
     DEFAULT_SERVICE_INSTRUCTIONS,
     DEFAULT_SERVICE_REQUESTS,
@@ -352,6 +351,8 @@ def latency_breakdown_rows(document: Dict, *, category: Optional[str] = None) ->
     rows (``"sim"`` or ``"wall"``); rows sort by descending total
     within each category.
     """
+    from repro.obs.export import trace_spans
+
     groups: Dict[Tuple[str, str], list] = {}
     for event in trace_spans(document):
         cat = str(event.get("cat", ""))

@@ -4,7 +4,7 @@ This replaces the old module-global ``_RUN_CACHE`` dict in the harness.
 A :class:`ResultStore` has two layers:
 
 * an in-memory dict, so repeated lookups within one process return the
-  *same* :class:`~repro.core.processor.WorkloadRun` object (the property
+  *same* :class:`~repro.core.outcome.WorkloadRun` object (the property
   the harness always had);
 * an optional on-disk layer of JSON files under ``.repro_cache/`` (or
   ``$REPRO_CACHE_DIR``), so repeated figure/benchmark invocations across
@@ -25,9 +25,12 @@ The disk layer is safe for concurrent multi-process use (daemon handler
 threads, ``ParallelRunner`` workers, and independent CLI invocations
 sharing one cache directory): every write goes through a temp file +
 ``os.replace`` (readers never see a torn entry), writers to the same
-entry serialise on a per-entry ``fcntl`` advisory lock, and a reader
-that still finds an unparseable file retries once under that lock
-before treating it as a miss (logged once per store) and dropping it.
+entry serialise on an ``fcntl`` advisory lock, and a reader that still
+finds an unparseable file retries once under that lock before treating
+it as a miss (logged once per store) and dropping it.  Locks are
+striped: an entry locks one of :data:`LOCK_STRIPES` fixed lock files,
+chosen by a hash of its file name, so the directory never holds more
+lock files than that however many entries it stores.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import json
 import logging
 import os
 import tempfile
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
@@ -45,7 +49,7 @@ try:  # pragma: no cover - fcntl is present on every POSIX build
 except ImportError:  # pragma: no cover - non-POSIX fallback: atomic writes only
     fcntl = None  # type: ignore[assignment]
 
-from repro.core.processor import WorkloadRun
+from repro.core.outcome import WorkloadRun
 from repro.core.serialization import SCHEMA_VERSION, run_from_dict, run_to_dict
 from repro.obs.metrics import global_registry
 from repro.obs.trace import wall_span
@@ -70,6 +74,8 @@ CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 CACHE_MODE_ENV_VAR = "REPRO_CACHE"
 #: Default on-disk cache directory (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
+#: Lock files an on-disk store stripes its entry locks over.
+LOCK_STRIPES = 64
 
 
 class ResultStore:
@@ -154,20 +160,23 @@ class ResultStore:
 
     @contextmanager
     def _entry_lock(self, path: Path) -> Iterator[None]:
-        """Per-entry advisory lock serialising writers (POSIX ``fcntl``).
+        """Advisory lock serialising writers of one entry (POSIX ``fcntl``).
 
         Writes are already atomic (temp file + ``os.replace``), so the
         lock's job is ordering: two processes racing to persist the same
         key produce one replace after the other instead of interleaved
         temp-file churn, and a read retry can wait out an in-flight
-        writer.  Without ``fcntl`` (non-POSIX) this degrades to the
-        atomic-rename guarantee alone.
+        writer.  The lock file is one of :data:`LOCK_STRIPES`, picked by
+        a CRC of the entry's name (the same in every process); entries
+        that share a stripe merely serialise.  Without ``fcntl``
+        (non-POSIX) this degrades to the atomic-rename guarantee alone.
         """
         if self.directory is None or fcntl is None:
             yield
             return
         self.directory.mkdir(parents=True, exist_ok=True)
-        lock_path = self.directory / f".lock-{path.stem}"
+        stripe = zlib.crc32(path.name.encode()) % LOCK_STRIPES
+        lock_path = self.directory / f".lock-{stripe:02d}"
         with open(lock_path, "w") as handle:
             fcntl.flock(handle, fcntl.LOCK_EX)
             try:

@@ -59,7 +59,7 @@ from repro.analysis.engine import ScenarioRequest as EngineScenarioRequest
 from repro.core.config import MI6Config
 from repro.core.mitigations import VariantLike, spec_name
 from repro.core.serialization import config_from_dict, config_to_dict
-from repro.fleet.simulation import (
+from repro.fleet.outcome import (
     DEFAULT_FLEET_SHARDS,
     DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
     DEFAULT_QUEUE_DEPTH,
@@ -67,7 +67,7 @@ from repro.fleet.simulation import (
     DEFAULT_THINK_FACTOR,
     DEFAULT_WIPE_BYTES_PER_CYCLE,
 )
-from repro.service.simulation import (
+from repro.service.outcome import (
     DEFAULT_SERVICE_CORES,
     DEFAULT_SERVICE_INSTRUCTIONS,
     DEFAULT_SERVICE_REQUESTS,

@@ -3,8 +3,8 @@
 Whatever the request shape — one workload, a sweep grid, a scenario
 matrix — the session answers with one :class:`Result`: an ordered list of
 :class:`ResultEntry` values, each carrying the domain object
-(:class:`~repro.core.processor.WorkloadRun` or
-:class:`~repro.attacks.scenarios.ScenarioOutcome`) plus its
+(:class:`~repro.core.outcome.WorkloadRun` or
+:class:`~repro.attacks.outcome.ScenarioOutcome`) plus its
 :class:`Provenance` — the content-hash cache key the entry is stored
 under, the serialization schema version, and whether it was simulated
 this call (``cold``) or served from the result store (``warm``).  The
@@ -32,11 +32,11 @@ from repro.api.requests import (
     WireError,
     request_from_wire,
 )
-from repro.attacks.scenarios import ScenarioOutcome
+from repro.attacks.outcome import ScenarioOutcome
 from repro.core.mitigations import VariantLike, spec_name
-from repro.core.processor import WorkloadRun
-from repro.fleet.simulation import FleetOutcome
-from repro.service.simulation import ServiceOutcome
+from repro.core.outcome import WorkloadRun
+from repro.fleet.outcome import FleetOutcome
+from repro.service.outcome import ServiceOutcome
 
 
 @dataclass(frozen=True)

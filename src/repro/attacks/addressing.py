@@ -14,9 +14,10 @@ and the raise-on-unreachable behaviour cannot silently diverge.
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from repro.mem.llc import LastLevelCache
+if TYPE_CHECKING:
+    from repro.mem.llc import LastLevelCache
 
 #: Cap on how far a scan walks into a region (keeps scans fast when
 #: regions are large; the region boundary is the hard limit).

@@ -39,14 +39,13 @@ The registry maps scenario names to runners:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
 from repro.core.config import MI6Config
 from repro.attacks.addressing import addresses_for_set, distinct_sets
-from repro.attacks.coschedule import CoScheduledExecutor, MemOp, latencies_by_label
+from repro.attacks.outcome import ScenarioOutcome
 from repro.attacks.placement import (
     ATTACKER_REGIONS,
     DEFAULT_ATTACKER_CORE,
@@ -55,7 +54,10 @@ from repro.attacks.placement import (
     Placement,
     default_placement,
 )
-from repro.os_model.machine import Machine
+
+if TYPE_CHECKING:
+    from repro.attacks.coschedule import MemOp
+    from repro.os_model.machine import Machine
 
 #: Core assignments of the default two-core placement (kept for call
 #: sites that predate :mod:`repro.attacks.placement`).
@@ -66,62 +68,6 @@ VICTIM_CORE = DEFAULT_VICTIM_CORE
 RESIDUE_PC = 0x0040_1234
 
 
-@dataclass(frozen=True)
-class ScenarioOutcome:
-    """Result of one scenario run (JSON-serialisable for the store).
-
-    Attributes:
-        scenario: Registry name of the scenario.
-        variant: Machine configuration name the scenario ran on.
-        seed: Seed that drew the secrets and seeded the machine RNGs.
-        leaked_bits: Secret bits the attacker recovered correctly.
-        total_bits: Secret bits the victim put at stake.
-        cycles: Cycles consumed by the shared timing pipeline.
-        num_cores: Cores of the co-scheduled machine (2 = the classic
-            attacker+victim pair; more adds bystander domains).
-        details: Scenario-specific diagnostic values (JSON scalars).
-    """
-
-    scenario: str
-    variant: str
-    seed: int
-    leaked_bits: int
-    total_bits: int
-    cycles: int
-    num_cores: int = 2
-    details: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def leaked(self) -> bool:
-        """True if the attacker learned anything at all."""
-        return self.leaked_bits > 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible encoding (stable round-trip)."""
-        return {
-            "scenario": self.scenario,
-            "variant": self.variant,
-            "seed": self.seed,
-            "leaked_bits": self.leaked_bits,
-            "total_bits": self.total_bits,
-            "cycles": self.cycles,
-            "num_cores": self.num_cores,
-            "details": dict(self.details),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> ScenarioOutcome:
-        """Rebuild an outcome from :meth:`to_dict` output."""
-        return cls(
-            scenario=data["scenario"],
-            variant=data["variant"],
-            seed=data["seed"],
-            leaked_bits=data["leaked_bits"],
-            total_bits=data["total_bits"],
-            cycles=data["cycles"],
-            num_cores=data.get("num_cores", 2),
-            details=dict(data.get("details", {})),
-        )
 
 
 def mi6_protection_enabled(config: MI6Config) -> bool:
@@ -165,6 +111,8 @@ def build_scenario_machine(
         placement: Explicit role→core assignment; defaults to
             :func:`~repro.attacks.placement.default_placement`.
     """
+    from repro.os_model.machine import Machine
+
     placement = placement or default_placement(num_cores)
     machine = (
         Machine(config=config, num_cores=placement.num_cores, seed=seed)
@@ -203,6 +151,8 @@ def _bystander_ops(
     pace — enough to keep its queues live in the arbiter rotation without
     turning the background load into a second flooding sender.
     """
+    from repro.attacks.coschedule import MemOp
+
     num_regions = machine.config.address_map.num_regions
     streams: Dict[int, List[MemOp]] = {}
     # Offset into the region so that, under the *baseline* index
@@ -239,6 +189,8 @@ def run_prime_probe(
     attacker times one pass over its primed lines — a slow probe means
     the victim evicted that set.
     """
+    from repro.attacks.coschedule import CoScheduledExecutor, MemOp, latencies_by_label
+
     placement = placement or default_placement(num_cores)
     attacker_core, victim_core = placement.attacker_core, placement.victim_core
     rng = DeterministicRng(seed).fork("prime_probe")
@@ -331,6 +283,8 @@ def run_spectre(
     region bitvector suppresses the speculative access (Section 5.3),
     so the probe finds nothing.
     """
+    from repro.attacks.coschedule import CoScheduledExecutor, MemOp
+
     placement = placement or default_placement(num_cores)
     attacker_core, victim_core = placement.attacker_core, placement.victim_core
     rng = DeterministicRng(seed).fork("spectre")
@@ -419,6 +373,8 @@ def run_contention(
     (per-core MSHR partitions + round-robin arbiter + per-core response
     queues) makes the receiver's timing sender-independent.
     """
+    from repro.attacks.coschedule import CoScheduledExecutor, MemOp
+
     placement = placement or default_placement(num_cores)
     attacker_core, victim_core = placement.attacker_core, placement.victim_core
     rng = DeterministicRng(seed).fork("contention")

@@ -80,8 +80,8 @@ from repro.attacks.scenarios import scenario_names
 from repro.common.errors import ConfigurationError
 from repro.common.log import LOG_LEVELS, configure_logging
 from repro.core.mitigations import known_compositions, known_mitigations
-from repro.daemon import DEFAULT_HOST, DEFAULT_PORT, DaemonClient, DaemonError, serve_daemon
-from repro.fleet.simulation import (
+from repro.daemon import DEFAULT_HOST, DEFAULT_PORT, DaemonError
+from repro.fleet.outcome import (
     DEFAULT_FLEET_SHARDS,
     DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
     DEFAULT_QUEUE_DEPTH,
@@ -89,35 +89,19 @@ from repro.fleet.simulation import (
     DEFAULT_THINK_FACTOR,
     DEFAULT_WIPE_BYTES_PER_CYCLE,
 )
-from repro.lint import add_lint_arguments, command_lint
-from repro.obs.export import (
-    load_trace,
-    trace_spans,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.metrics import global_registry
 from repro.obs.trace import Tracer, tracing
-from repro.service import (
+from repro.service.arrivals import LOAD_PROFILES
+from repro.service.outcome import (
     DEFAULT_SERVICE_CORES,
     DEFAULT_SERVICE_INSTRUCTIONS,
     DEFAULT_SERVICE_REQUESTS,
     DEFAULT_SERVICE_TENANTS,
-    LOAD_PROFILES,
-)
-from repro.perf import (
-    DEFAULT_SUITE_INSTRUCTIONS,
-    PINNED_SEED,
-    BenchRecorder,
-    calibration_score,
-    commit_record_path,
-    compare_to_baseline,
-    load_bench,
-    run_fleet_case,
-    run_service_case,
-    run_suite,
 )
 from repro.workloads.spec_cint2006 import benchmark_names
+
+# The daemon, perf, lint and trace-export packages are imported inside
+# the handlers that use them, and the simulator loads only when a run
+# misses the store: a warm invocation never imports any of them.
 
 #: Figure name -> callable printing that figure's tables.
 _FigureHandler = Callable[[EvaluationSettings, Optional[int]], None]
@@ -264,12 +248,16 @@ def _execute(
     stderr footer are added.
     """
     if getattr(args, "remote", None):
+        from repro.daemon.client import DaemonClient
+
         client = DaemonClient(args.remote)
         return client.run(request, settings=settings), None
     session = _build_session(args)
     trace_path = getattr(args, "trace", None)
     if trace_path is None:
         return session.run(request), session
+    from repro.obs.export import write_chrome_trace
+
     tracer = Tracer()
     with tracing(tracer):
         result = session.run(request)
@@ -543,6 +531,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         # Long-running mode: host this session behind the HTTP/JSON API
         # until SIGTERM/SIGINT.  All other serve flags still shape the
         # session (cache dir, jobs, seed).
+        from repro.daemon.server import serve_daemon
+
         session = _build_session(args)
         serve_daemon(session, host=args.host, port=args.port)
         return 0
@@ -706,8 +696,26 @@ def _command_fleet(args: argparse.Namespace) -> int:
 
 
 def _command_perf(args: argparse.Namespace) -> int:
+    from repro.obs.metrics import global_registry
+    from repro.perf import (
+        DEFAULT_SUITE_INSTRUCTIONS,
+        PINNED_SEED,
+        BenchRecorder,
+        calibration_score,
+        commit_record_path,
+        compare_to_baseline,
+        load_bench,
+        run_fleet_case,
+        run_service_case,
+        run_suite,
+    )
+
     result = run_suite(
-        instructions=args.instructions, seed=args.seed, components=args.components
+        instructions=(
+            args.instructions if args.instructions is not None else DEFAULT_SUITE_INSTRUCTIONS
+        ),
+        seed=args.seed if args.seed is not None else PINNED_SEED,
+        components=args.components,
     )
     service = None if args.no_service else run_service_case(components=args.components)
     fleet = None if args.no_fleet else run_fleet_case(components=args.components)
@@ -909,6 +917,8 @@ def _print_perf_regression(record, baseline, comparison) -> None:
 
 def _command_trace_summary(args: argparse.Namespace) -> int:
     """``repro trace summary``: per-phase latency-breakdown table."""
+    from repro.obs.export import load_trace
+
     try:
         document = load_trace(args.file)
     except (OSError, ValueError) as error:
@@ -924,6 +934,8 @@ def _command_trace_summary(args: argparse.Namespace) -> int:
 
 def _command_trace_validate(args: argparse.Namespace) -> int:
     """``repro trace validate``: schema-check a captured trace file."""
+    from repro.obs.export import load_trace, trace_spans, validate_chrome_trace
+
     try:
         document = load_trace(args.file)
     except (OSError, ValueError) as error:
@@ -1030,6 +1042,8 @@ def _add_common_arguments(
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.lint.cli import add_lint_arguments, command_lint
+
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Run MI6 reproduction figures and sweeps.",
@@ -1337,11 +1351,11 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument(
         "--instructions",
         type=int,
-        default=DEFAULT_SUITE_INSTRUCTIONS,
-        help=f"instructions per suite run (default {DEFAULT_SUITE_INSTRUCTIONS})",
+        default=None,
+        help="instructions per suite run (default: the pinned suite's run length)",
     )
     perf.add_argument(
-        "--seed", type=int, default=PINNED_SEED, help=f"suite seed (default {PINNED_SEED})"
+        "--seed", type=int, default=None, help="suite seed (default: the pinned seed)"
     )
     perf.add_argument(
         "--baseline",

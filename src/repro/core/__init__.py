@@ -26,43 +26,51 @@ This package layers the MI6 mechanisms on top of the RiscyOO substrate:
   demonstrate Property 1 (strong isolation).
 """
 
-from repro.core.config import MI6Config
-from repro.core.mitigations import (
-    Mitigation,
-    MitigationSet,
-    VariantLike,
-    as_spec,
-    config_for_spec,
-    known_compositions,
-    known_mitigations,
-    parse_spec,
-    register_composition,
-    register_mitigation,
-    spec_name,
-)
-from repro.core.isolation import (
-    llc_sets_disjoint,
-    timing_independence_report,
-    verify_purged_state,
-)
-from repro.core.processor import MI6Processor, WorkloadRun
-from repro.core.protection import ProtectionDomain, RegionBitvector
-from repro.core.purge import PurgeResult, PurgeUnit
-from repro.core.serialization import (
-    config_digest,
-    config_from_dict,
-    config_to_dict,
-    request_cache_key,
-    run_from_dict,
-    run_to_dict,
-)
-from repro.core.simulator import Simulator
-from repro.core.variants import (
-    Variant,
-    config_for_variant,
-    parse_variant,
-    variant_description,
-)
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro.common.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.config import MI6Config
+    from repro.core.mitigations import (
+        Mitigation,
+        MitigationSet,
+        VariantLike,
+        as_spec,
+        config_for_spec,
+        known_compositions,
+        known_mitigations,
+        parse_spec,
+        register_composition,
+        register_mitigation,
+        spec_name,
+    )
+    from repro.core.isolation import (
+        llc_sets_disjoint,
+        timing_independence_report,
+        verify_purged_state,
+    )
+    from repro.core.outcome import WorkloadRun
+    from repro.core.processor import MI6Processor
+    from repro.core.protection import ProtectionDomain, RegionBitvector
+    from repro.core.purge import PurgeResult, PurgeUnit
+    from repro.core.serialization import (
+        config_digest,
+        config_from_dict,
+        config_to_dict,
+        request_cache_key,
+        run_from_dict,
+        run_to_dict,
+    )
+    from repro.core.simulator import Simulator
+    from repro.core.variants import (
+        Variant,
+        config_for_variant,
+        parse_variant,
+        variant_description,
+    )
 
 __all__ = [
     "MI6Config",
@@ -98,3 +106,47 @@ __all__ = [
     "variant_description",
     "verify_purged_state",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.config": ("MI6Config",),
+        "repro.core.mitigations": (
+            "Mitigation",
+            "MitigationSet",
+            "VariantLike",
+            "as_spec",
+            "config_for_spec",
+            "known_compositions",
+            "known_mitigations",
+            "parse_spec",
+            "register_composition",
+            "register_mitigation",
+            "spec_name",
+        ),
+        "repro.core.isolation": (
+            "llc_sets_disjoint",
+            "timing_independence_report",
+            "verify_purged_state",
+        ),
+        "repro.core.outcome": ("WorkloadRun",),
+        "repro.core.processor": ("MI6Processor",),
+        "repro.core.protection": ("ProtectionDomain", "RegionBitvector"),
+        "repro.core.purge": ("PurgeResult", "PurgeUnit"),
+        "repro.core.serialization": (
+            "config_digest",
+            "config_from_dict",
+            "config_to_dict",
+            "request_cache_key",
+            "run_from_dict",
+            "run_to_dict",
+        ),
+        "repro.core.simulator": ("Simulator",),
+        "repro.core.variants": (
+            "Variant",
+            "config_for_variant",
+            "parse_variant",
+            "variant_description",
+        ),
+    },
+)

@@ -11,10 +11,11 @@ from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ConfigurationError
 from repro.mem.address import AddressMap, IndexFunction
-from repro.mem.dram import DramConfig
-from repro.mem.llc import LlcConfig
-from repro.mem.mshr import MshrConfig
-from repro.ooo.core import CoreConfig
+from repro.mem.config import DramConfig, LlcConfig, MshrConfig
+from repro.ooo.config import CoreConfig
+
+#: Seed used throughout the evaluation when none is given (the paper year).
+DEFAULT_SEED = 2019
 
 
 @dataclass(frozen=True)

@@ -16,51 +16,23 @@ is about timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.common.fastpath import slow_path_enabled
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatsRegistry
 from repro.core.config import MI6Config
+from repro.core.outcome import WorkloadRun
 from repro.core.protection import ProtectionDomain, RegionBitvector
 from repro.core.purge import PurgeUnit
 from repro.mem.dram import DramController
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.llc import LastLevelCache
 from repro.mem.page_table import PageTable
-from repro.ooo.core import CoreResult, OutOfOrderCore
+from repro.ooo.core import OutOfOrderCore
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.spec_cint2006 import profile_for
-
-
-@dataclass
-class WorkloadRun:
-    """Result of running one workload on one configuration.
-
-    Attributes:
-        benchmark: Benchmark name.
-        config_name: Machine configuration name (variant).
-        instructions: Committed instructions.
-        result: Full core timing result (cycles, counters).
-    """
-
-    benchmark: str
-    config_name: str
-    instructions: int
-    result: CoreResult
-
-    @property
-    def cycles(self) -> int:
-        """Total execution time in cycles."""
-        return self.result.cycles
-
-    def overhead_vs(self, baseline: WorkloadRun) -> float:
-        """Increased runtime relative to ``baseline``, as a percentage."""
-        if baseline.cycles == 0:
-            return 0.0
-        return 100.0 * (self.cycles - baseline.cycles) / baseline.cycles
 
 
 class MI6Processor:

@@ -9,7 +9,7 @@ layer:
   digest over the *full* machine configuration plus every other request
   field not marked :func:`derived`, so any configuration change (not
   just the variant name) invalidates cached results;
-* a lossless serialisation of :class:`~repro.core.processor.WorkloadRun`
+* a lossless serialisation of :class:`~repro.core.outcome.WorkloadRun`
   so results survive process boundaries (the parallel runner's worker
   processes) and process exits (the on-disk store).
 
@@ -23,18 +23,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 from dataclasses import field, fields, is_dataclass
 from enum import Enum
 from typing import Any, Dict, Optional
 
 from repro.common.stats import StatsRegistry
 from repro.core.config import MI6Config
-from repro.core.processor import WorkloadRun
+from repro.core.outcome import WorkloadRun
 from repro.mem.address import AddressMap, CacheGeometry, IndexFunction
-from repro.mem.dram import DramConfig
-from repro.mem.llc import LlcConfig
-from repro.mem.mshr import MshrConfig
-from repro.ooo.core import CoreConfig, CoreResult
+from repro.mem.config import DramConfig, LlcConfig, MshrConfig
+from repro.ooo.config import CoreConfig, CoreResult
 
 #: Version of the serialised formats below.  Bump on any incompatible
 #: change; the digest namespace includes it, so old on-disk entries are
@@ -47,6 +46,12 @@ SCHEMA_VERSION = 2
 #: Field-metadata key of the :func:`derived` marker.
 DERIVED = "derived"
 
+#: Bound on the memo of encoded configurations (:func:`_encode_field`);
+#: the memo is emptied when it fills.
+ENCODING_MEMO_LIMIT = 128
+
+_ENCODING_MEMO: Dict[bytes, Any] = {}
+
 
 # ----------------------------------------------------------------------
 # Configurations
@@ -58,6 +63,30 @@ def _encode_value(value: Any) -> Any:
     if is_dataclass(value):
         return {f.name: _encode_value(getattr(value, f.name)) for f in fields(value)}
     return value
+
+
+def _encode_field(value: Any) -> Any:
+    """:func:`_encode_value` of a request field, memoized for dataclasses.
+
+    A configuration is a nested dataclass whose encoding dominates the
+    cost of a cache key, and callers key the same few configurations
+    over and over (every warm daemon read decodes a fresh but equal
+    one).  The memo is keyed on the value's pickle, not on the value:
+    ``1 == 1.0`` and ``True == 1`` compare and hash alike but encode
+    differently, and their pickles differ.  The memoized encoding only
+    ever feeds a digest, so no caller can mutate it.  Concurrent callers
+    (daemon threads) can at worst lose an entry, never mismatch one:
+    every value is a pure function of its key.
+    """
+    if not is_dataclass(value):
+        return _encode_value(value)
+    memo_key = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    encoded = _ENCODING_MEMO.get(memo_key)
+    if encoded is None:
+        if len(_ENCODING_MEMO) >= ENCODING_MEMO_LIMIT:
+            _ENCODING_MEMO.clear()
+        encoded = _ENCODING_MEMO[memo_key] = _encode_value(value)
+    return encoded
 
 
 def config_to_dict(config: MI6Config) -> Dict[str, Any]:
@@ -90,7 +119,7 @@ def _digest(payload: Any) -> str:
 
 def config_digest(config: MI6Config) -> str:
     """Content hash identifying a machine configuration."""
-    return _digest({"schema": SCHEMA_VERSION, "config": config_to_dict(config)})
+    return _digest({"schema": SCHEMA_VERSION, "config": _encode_field(config)})
 
 
 def derived(justification: str) -> Any:
@@ -123,7 +152,7 @@ def request_cache_key(request: Any, kind: Optional[str]) -> str:
         payload["kind"] = kind
     for item in fields(request):
         if DERIVED not in item.metadata:
-            payload[item.name] = _encode_value(getattr(request, item.name))
+            payload[item.name] = _encode_field(getattr(request, item.name))
     return _digest(payload)
 
 

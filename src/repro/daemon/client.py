@@ -22,10 +22,7 @@ from typing import Any, Dict, Optional
 from repro.analysis.engine import EvaluationSettings
 from repro.api.requests import Request
 from repro.api.results import Result, result_from_wire
-
-
-class DaemonError(RuntimeError):
-    """The daemon answered an error, or could not be reached at all."""
+from repro.daemon import DaemonError
 
 
 class DaemonClient:

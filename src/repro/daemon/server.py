@@ -29,16 +29,11 @@ from repro.api.requests import WIRE_VERSION, Request, WireError, request_from_wi
 from repro.api.results import Result, result_to_wire
 from repro.api.session import Session
 from repro.common.errors import ConfigurationError
+from repro.daemon import DEFAULT_HOST, DEFAULT_PORT
 from repro.daemon.jobs import JobRegistry
 from repro.obs.metrics import LabelValues, MetricsRegistry, global_registry
 from repro.obs.trace import wall_span, wall_time
 from repro.perf import commit_record_path, load_bench
-
-#: Default bind address: loopback only — the daemon speaks plain HTTP
-#: with no authentication, so exposing it wider is an explicit choice.
-DEFAULT_HOST = "127.0.0.1"
-#: Default TCP port.
-DEFAULT_PORT = 8642
 
 #: Largest ``POST /v1/run`` body the daemon reads (1 MiB, far above any
 #: request wire document); longer bodies are refused with 413 unread.

@@ -9,39 +9,46 @@ admission control (:mod:`repro.fleet.admission`,
 the open-loop arrival profiles or a closed-loop think-time client
 population (:mod:`repro.fleet.clients`) so offered load can be swept to
 saturation.  Shard results merge deterministically into a
-:class:`~repro.fleet.simulation.FleetOutcome`, the unit the engine
+:class:`~repro.fleet.outcome.FleetOutcome`, the unit the engine
 caches and the CLI reports.
 """
 
-from repro.fleet.admission import (
-    admission_description,
-    admission_names,
-    register_admission_policy,
-)
-from repro.fleet.clients import (
-    client_model_description,
-    client_model_names,
-    register_client_model,
-)
-from repro.fleet.routing import (
-    TenantLoad,
-    assign_tenants,
-    register_router,
-    router_description,
-    router_names,
-)
-from repro.fleet.simulation import (
-    DEFAULT_FLEET_SHARDS,
-    DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
-    DEFAULT_QUEUE_DEPTH,
-    DEFAULT_SLO_FACTOR,
-    DEFAULT_THINK_FACTOR,
-    DEFAULT_WIPE_BYTES_PER_CYCLE,
-    FleetOutcome,
-    ShardOutcome,
-    merge_shard_outcomes,
-    run_fleet_shard,
-)
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro.common.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.fleet.admission import (
+        admission_description,
+        admission_names,
+        register_admission_policy,
+    )
+    from repro.fleet.clients import (
+        client_model_description,
+        client_model_names,
+        register_client_model,
+    )
+    from repro.fleet.routing import (
+        TenantLoad,
+        assign_tenants,
+        register_router,
+        router_description,
+        router_names,
+    )
+    from repro.fleet.outcome import (
+        DEFAULT_FLEET_SHARDS,
+        DEFAULT_MEASUREMENT_CYCLES_PER_PAGE,
+        DEFAULT_QUEUE_DEPTH,
+        DEFAULT_SLO_FACTOR,
+        DEFAULT_THINK_FACTOR,
+        DEFAULT_WIPE_BYTES_PER_CYCLE,
+        FleetOutcome,
+        ShardOutcome,
+        merge_shard_outcomes,
+    )
+    from repro.fleet.simulation import run_fleet_shard
 
 __all__ = [
     "DEFAULT_FLEET_SHARDS",
@@ -66,3 +73,38 @@ __all__ = [
     "router_names",
     "run_fleet_shard",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.fleet.admission": (
+            "admission_description",
+            "admission_names",
+            "register_admission_policy",
+        ),
+        "repro.fleet.clients": (
+            "client_model_description",
+            "client_model_names",
+            "register_client_model",
+        ),
+        "repro.fleet.routing": (
+            "TenantLoad",
+            "assign_tenants",
+            "register_router",
+            "router_description",
+            "router_names",
+        ),
+        "repro.fleet.outcome": (
+            "DEFAULT_FLEET_SHARDS",
+            "DEFAULT_MEASUREMENT_CYCLES_PER_PAGE",
+            "DEFAULT_QUEUE_DEPTH",
+            "DEFAULT_SLO_FACTOR",
+            "DEFAULT_THINK_FACTOR",
+            "DEFAULT_WIPE_BYTES_PER_CYCLE",
+            "FleetOutcome",
+            "ShardOutcome",
+            "merge_shard_outcomes",
+        ),
+        "repro.fleet.simulation": ("run_fleet_shard",),
+    },
+)

@@ -27,26 +27,24 @@ committed ``lint-baseline.json``.  EXPERIMENTS.md documents the catalog.
 
 from __future__ import annotations
 
-# Importing the rule modules registers the rules; keep the imports
-# unconditional so every entry point sees the same registry.
-import repro.lint.cache_keys  # noqa: F401
-import repro.lint.determinism  # noqa: F401
-import repro.lint.obs_purity  # noqa: F401
-import repro.lint.parity  # noqa: F401
-import repro.lint.registries  # noqa: F401
-from repro.lint.cli import add_lint_arguments, command_lint
-from repro.lint.engine import (
-    LintContext,
-    LintReport,
-    Rule,
-    SourceModule,
-    build_context,
-    register_rule,
-    rule_descriptions,
-    rule_names,
-    run_rules,
-)
-from repro.lint.findings import Finding, load_baseline, write_baseline
+from typing import TYPE_CHECKING
+
+from repro.common.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.lint.cli import add_lint_arguments, command_lint
+    from repro.lint.engine import (
+        LintContext,
+        LintReport,
+        Rule,
+        SourceModule,
+        build_context,
+        register_rule,
+        rule_descriptions,
+        rule_names,
+        run_rules,
+    )
+    from repro.lint.findings import Finding, load_baseline, write_baseline
 
 __all__ = [
     "Finding",
@@ -64,3 +62,22 @@ __all__ = [
     "run_rules",
     "write_baseline",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.lint.cli": ("add_lint_arguments", "command_lint"),
+        "repro.lint.engine": (
+            "LintContext",
+            "LintReport",
+            "Rule",
+            "SourceModule",
+            "build_context",
+            "register_rule",
+            "rule_descriptions",
+            "rule_names",
+            "run_rules",
+        ),
+        "repro.lint.findings": ("Finding", "load_baseline", "write_baseline"),
+    },
+)

@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List
 
-from repro.lint.engine import build_context, rule_descriptions, run_rules
 from repro.lint.findings import load_baseline, write_baseline
 
 #: Baseline file picked up automatically when present in the working
@@ -66,6 +65,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 def command_lint(args: argparse.Namespace) -> int:
     """Handler for the ``repro lint`` subcommand."""
+    from repro.lint.engine import build_context, rule_descriptions, run_rules
+
     if args.list_rules:
         for name, description in rule_descriptions().items():
             print(f"{name:<18} {description}")

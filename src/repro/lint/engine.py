@@ -21,6 +21,7 @@ documents the catalog.
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -112,6 +113,15 @@ class Rule:
 
 _RULES: Dict[str, Rule] = {}
 
+#: Modules defining the built-in rules; importing one registers its rule.
+BUILTIN_RULE_MODULES = (
+    "repro.lint.cache_keys",
+    "repro.lint.determinism",
+    "repro.lint.obs_purity",
+    "repro.lint.parity",
+    "repro.lint.registries",
+)
+
 
 def register_rule(rule: Rule) -> Rule:
     """Register a rule instance under its name (import-time only)."""
@@ -123,14 +133,21 @@ def register_rule(rule: Rule) -> Rule:
     return rule
 
 
+def _registry() -> Dict[str, Rule]:
+    """The rule registry, with the built-in rules loaded on first use."""
+    for module in BUILTIN_RULE_MODULES:
+        importlib.import_module(module)
+    return _RULES
+
+
 def rule_names() -> List[str]:
     """All registered rule names, in registration order."""
-    return list(_RULES)
+    return list(_registry())
 
 
 def rule_descriptions() -> Dict[str, str]:
     """Rule name -> one-line description, in registration order."""
-    return {name: rule.description for name, rule in _RULES.items()}
+    return {name: rule.description for name, rule in _registry().items()}
 
 
 # ----------------------------------------------------------------------
@@ -261,8 +278,9 @@ def run_rules(
     findings fingerprint-matched by ``baseline`` are counted but not
     reported.
     """
-    selected = list(rules) if rules is not None else rule_names()
-    unknown = [name for name in selected if name not in _RULES]
+    registry = _registry()
+    selected = list(rules) if rules is not None else list(registry)
+    unknown = [name for name in selected if name not in registry]
     if unknown:
         raise ValueError(
             f"unknown lint rule(s): {', '.join(unknown)} "
@@ -273,7 +291,7 @@ def run_rules(
     suppressed = 0
     baselined = 0
     for name in selected:
-        for finding in _RULES[name].check(context):
+        for finding in registry[name].check(context):
             module = by_path.get(finding.path)
             if module is not None and module.is_suppressed(finding.rule, finding.line):
                 suppressed += 1

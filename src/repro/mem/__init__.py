@@ -17,24 +17,33 @@ depends on:
 * the *detailed* message-level LLC model of the paper's Figures 2 and 3
   (:mod:`repro.mem.llc_detail`, :mod:`repro.mem.arbiter`,
   :mod:`repro.mem.coherence`) used to demonstrate strong timing
-  independence.
+  independence;
+* the configuration records of the LLC, MSHR file and DRAM
+  (:mod:`repro.mem.config`), which import none of the models above.
 """
 
-from repro.mem.address import AddressMap, CacheGeometry, IndexFunction, dram_region_of
-from repro.mem.cache import AccessResult, SetAssociativeCache
-from repro.mem.dram import DramController
-from repro.mem.hierarchy import HierarchyAccess, MemoryHierarchy
-from repro.mem.l1 import L1Cache
-from repro.mem.llc import LastLevelCache
-from repro.mem.mshr import MshrFile
-from repro.mem.page_table import PageTable, PageTableWalker
-from repro.mem.replacement import (
-    LruPolicy,
-    PseudoRandomPolicy,
-    ReplacementPolicy,
-    SelfCleaningLruPolicy,
-)
-from repro.mem.tlb import TranslationCache, Tlb
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro.common.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.mem.address import AddressMap, CacheGeometry, IndexFunction, dram_region_of
+    from repro.mem.cache import AccessResult, SetAssociativeCache
+    from repro.mem.dram import DramController
+    from repro.mem.hierarchy import HierarchyAccess, MemoryHierarchy
+    from repro.mem.l1 import L1Cache
+    from repro.mem.llc import LastLevelCache
+    from repro.mem.mshr import MshrFile
+    from repro.mem.page_table import PageTable, PageTableWalker
+    from repro.mem.replacement import (
+        LruPolicy,
+        PseudoRandomPolicy,
+        ReplacementPolicy,
+        SelfCleaningLruPolicy,
+    )
+    from repro.mem.tlb import TranslationCache, Tlb
 
 __all__ = [
     "AccessResult",
@@ -58,3 +67,29 @@ __all__ = [
     "TranslationCache",
     "dram_region_of",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.mem.address": (
+            "AddressMap",
+            "CacheGeometry",
+            "IndexFunction",
+            "dram_region_of",
+        ),
+        "repro.mem.cache": ("AccessResult", "SetAssociativeCache"),
+        "repro.mem.dram": ("DramController",),
+        "repro.mem.hierarchy": ("HierarchyAccess", "MemoryHierarchy"),
+        "repro.mem.l1": ("L1Cache",),
+        "repro.mem.llc": ("LastLevelCache",),
+        "repro.mem.mshr": ("MshrFile",),
+        "repro.mem.page_table": ("PageTable", "PageTableWalker"),
+        "repro.mem.replacement": (
+            "LruPolicy",
+            "PseudoRandomPolicy",
+            "ReplacementPolicy",
+            "SelfCleaningLruPolicy",
+        ),
+        "repro.mem.tlb": ("TranslationCache", "Tlb"),
+    },
+)

@@ -19,27 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.stats import StatsRegistry
-
-
-@dataclass(frozen=True)
-class DramConfig:
-    """DRAM controller parameters (Figure 4 defaults).
-
-    Attributes:
-        latency_cycles: Fixed access latency.
-        max_outstanding: Maximum in-flight requests before backpressure.
-        constant_latency: True for the timing-independent controller;
-            False enables the illustrative bank-reordering model.
-        num_banks: Banks used by the reordering model.
-        row_hit_latency_cycles: Latency of a back-to-back same-bank access
-            in the reordering model (a row-buffer hit).
-    """
-
-    latency_cycles: int = 120
-    max_outstanding: int = 24
-    constant_latency: bool = True
-    num_banks: int = 8
-    row_hit_latency_cycles: int = 60
+from repro.mem.config import DramConfig
 
 
 @dataclass

@@ -27,24 +27,29 @@ instrumentation sites reduce to one hoisted ``None`` check.
 
 from __future__ import annotations
 
-from repro.obs.export import (
-    chrome_trace_document,
-    load_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.metrics import MetricsRegistry, global_registry
-from repro.obs.trace import (
-    SIM_CATEGORY,
-    WALL_CATEGORY,
-    Span,
-    Tracer,
-    active_tracer,
-    set_active_tracer,
-    tracing,
-    wall_span,
-    wall_time,
-)
+from typing import TYPE_CHECKING
+
+from repro.common.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.export import (
+        chrome_trace_document,
+        load_trace,
+        validate_chrome_trace,
+        write_chrome_trace,
+    )
+    from repro.obs.metrics import MetricsRegistry, global_registry
+    from repro.obs.trace import (
+        SIM_CATEGORY,
+        WALL_CATEGORY,
+        Span,
+        Tracer,
+        active_tracer,
+        set_active_tracer,
+        tracing,
+        wall_span,
+        wall_time,
+    )
 
 __all__ = [
     "SIM_CATEGORY",
@@ -63,3 +68,27 @@ __all__ = [
     "wall_time",
     "write_chrome_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.export": (
+            "chrome_trace_document",
+            "load_trace",
+            "validate_chrome_trace",
+            "write_chrome_trace",
+        ),
+        "repro.obs.metrics": ("MetricsRegistry", "global_registry"),
+        "repro.obs.trace": (
+            "SIM_CATEGORY",
+            "WALL_CATEGORY",
+            "Span",
+            "Tracer",
+            "active_tracer",
+            "set_active_tracer",
+            "tracing",
+            "wall_span",
+            "wall_time",
+        ),
+    },
+)

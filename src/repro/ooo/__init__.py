@@ -13,15 +13,25 @@ queues, load-store queue, store buffer) are modelled explicitly because
 the MI6 ``purge`` instruction must scrub them (Section 6.1), and the purge
 audit in :mod:`repro.core.purge` walks them to verify that the
 post-flush state is indistinguishable from the initial state.
+:mod:`repro.ooo.config` holds the core's configuration and result
+records apart from the timing model, so they load without it.
 """
 
-from repro.ooo.branch_predictor import TournamentPredictor
-from repro.ooo.btb import BranchTargetBuffer, ReturnAddressStack
-from repro.ooo.core import CoreConfig, CoreResult, OutOfOrderCore
-from repro.ooo.frontend import FrontEnd
-from repro.ooo.lsq import LoadStoreQueue, StoreBuffer
-from repro.ooo.rename import FreeList, RenameTable
-from repro.ooo.rob import IssueQueue, ReorderBuffer
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro.common.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.ooo.branch_predictor import TournamentPredictor
+    from repro.ooo.btb import BranchTargetBuffer, ReturnAddressStack
+    from repro.ooo.config import CoreConfig, CoreResult
+    from repro.ooo.core import OutOfOrderCore
+    from repro.ooo.frontend import FrontEnd
+    from repro.ooo.lsq import LoadStoreQueue, StoreBuffer
+    from repro.ooo.rename import FreeList, RenameTable
+    from repro.ooo.rob import IssueQueue, ReorderBuffer
 
 __all__ = [
     "BranchTargetBuffer",
@@ -38,3 +48,17 @@ __all__ = [
     "StoreBuffer",
     "TournamentPredictor",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.ooo.branch_predictor": ("TournamentPredictor",),
+        "repro.ooo.btb": ("BranchTargetBuffer", "ReturnAddressStack"),
+        "repro.ooo.config": ("CoreConfig", "CoreResult"),
+        "repro.ooo.core": ("OutOfOrderCore",),
+        "repro.ooo.frontend": ("FrontEnd",),
+        "repro.ooo.lsq": ("LoadStoreQueue", "StoreBuffer"),
+        "repro.ooo.rename": ("FreeList", "RenameTable"),
+        "repro.ooo.rob": ("IssueQueue", "ReorderBuffer"),
+    },
+)

@@ -26,7 +26,7 @@ from typing import Callable, Dict, Optional, Union
 
 from repro.analysis.engine import EvaluationSettings, RunRequest, execute_request
 from repro.api.requests import WorkloadRequest
-from repro.core.processor import WorkloadRun
+from repro.core.outcome import WorkloadRun
 
 #: Path fragment -> component label used for the time-share breakdown.
 _COMPONENT_ROOTS = (

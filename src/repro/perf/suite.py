@@ -31,9 +31,10 @@ from repro.analysis.engine import (
     resolve_service_cycles,
 )
 from repro.core.serialization import config_digest
-from repro.fleet.simulation import FleetOutcome
+from repro.fleet.outcome import FleetOutcome
 from repro.perf.profiler import ProfileReport, Profiler, component_shares_of
-from repro.service.simulation import ServiceOutcome, run_service
+from repro.service.outcome import ServiceOutcome
+from repro.service.simulation import run_service
 
 #: (mitigation spec, benchmark) pairs of the pinned suite, in run order.
 PINNED_SUITE: Tuple[Tuple[str, str], ...] = (

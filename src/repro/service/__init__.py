@@ -15,9 +15,10 @@ become throughput and tail-latency numbers under tenant churn.
 * :mod:`repro.service.schedulers` — the scheduling-policy registry
   (``fifo``, ``affinity``, ``batch``);
 * :mod:`repro.service.simulation` — :func:`run_service`, one open-loop
-  shard of the fleet's serving loop (:mod:`repro.fleet.simulation`),
-  and the JSON-serialisable
-  :class:`~repro.service.simulation.ServiceOutcome`;
+  shard of the fleet's serving loop (:mod:`repro.fleet.simulation`);
+* :mod:`repro.service.outcome` — the JSON-serialisable
+  :class:`~repro.service.outcome.ServiceOutcome`, the default serving
+  shape and the tenant workload assignment;
 * :mod:`repro.service.metrics` — latency percentile helpers.
 
 Entry points: ``Session.run(ServiceRequest(...))`` for cached, parallel
@@ -25,31 +26,38 @@ sweeps, or :func:`repro.service.run_service` for a single standalone
 simulation.
 """
 
-from repro.service.arrivals import (
-    LOAD_PROFILES,
-    Arrival,
-    generate_arrivals,
-    profile_description,
-    profile_names,
-    register_arrival_profile,
-)
-from repro.service.metrics import percentile, summarize_latencies
-from repro.service.schedulers import (
-    SchedulingPolicy,
-    create_policy,
-    policy_description,
-    policy_names,
-    register_policy,
-)
-from repro.service.simulation import (
-    DEFAULT_SERVICE_CORES,
-    DEFAULT_SERVICE_INSTRUCTIONS,
-    DEFAULT_SERVICE_REQUESTS,
-    DEFAULT_SERVICE_TENANTS,
-    ServiceOutcome,
-    run_service,
-    tenant_benchmarks,
-)
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro.common.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.service.arrivals import (
+        LOAD_PROFILES,
+        Arrival,
+        generate_arrivals,
+        profile_description,
+        profile_names,
+        register_arrival_profile,
+    )
+    from repro.service.metrics import percentile, summarize_latencies
+    from repro.service.schedulers import (
+        SchedulingPolicy,
+        create_policy,
+        policy_description,
+        policy_names,
+        register_policy,
+    )
+    from repro.service.outcome import (
+        DEFAULT_SERVICE_CORES,
+        DEFAULT_SERVICE_INSTRUCTIONS,
+        DEFAULT_SERVICE_REQUESTS,
+        DEFAULT_SERVICE_TENANTS,
+        ServiceOutcome,
+        tenant_benchmarks,
+    )
+    from repro.service.simulation import run_service
 
 __all__ = [
     "Arrival",
@@ -73,3 +81,34 @@ __all__ = [
     "summarize_latencies",
     "tenant_benchmarks",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.arrivals": (
+            "LOAD_PROFILES",
+            "Arrival",
+            "generate_arrivals",
+            "profile_description",
+            "profile_names",
+            "register_arrival_profile",
+        ),
+        "repro.service.metrics": ("percentile", "summarize_latencies"),
+        "repro.service.schedulers": (
+            "SchedulingPolicy",
+            "create_policy",
+            "policy_description",
+            "policy_names",
+            "register_policy",
+        ),
+        "repro.service.outcome": (
+            "DEFAULT_SERVICE_CORES",
+            "DEFAULT_SERVICE_INSTRUCTIONS",
+            "DEFAULT_SERVICE_REQUESTS",
+            "DEFAULT_SERVICE_TENANTS",
+            "ServiceOutcome",
+            "tenant_benchmarks",
+        ),
+        "repro.service.simulation": ("run_service",),
+    },
+)

@@ -15,10 +15,17 @@ MPKI in Figure 7, LLC MPKI in Figure 9); the MI6 overheads then emerge
 from the mechanisms rather than from the calibration.
 """
 
-from repro.workloads.characteristics import PAPER_REPORTED, PaperFigures
-from repro.workloads.generator import SyntheticWorkload
-from repro.workloads.profiles import WorkloadProfile
-from repro.workloads.spec_cint2006 import SPEC_CINT2006, benchmark_names, profile_for
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro.common.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.workloads.characteristics import PAPER_REPORTED, PaperFigures
+    from repro.workloads.generator import SyntheticWorkload
+    from repro.workloads.profiles import WorkloadProfile
+    from repro.workloads.spec_cint2006 import SPEC_CINT2006, benchmark_names, profile_for
 
 __all__ = [
     "PAPER_REPORTED",
@@ -29,3 +36,17 @@ __all__ = [
     "benchmark_names",
     "profile_for",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.characteristics": ("PAPER_REPORTED", "PaperFigures"),
+        "repro.workloads.generator": ("SyntheticWorkload",),
+        "repro.workloads.profiles": ("WorkloadProfile",),
+        "repro.workloads.spec_cint2006": (
+            "SPEC_CINT2006",
+            "benchmark_names",
+            "profile_for",
+        ),
+    },
+)

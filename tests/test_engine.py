@@ -1,8 +1,12 @@
 """Tests for the experiment engine, serialization, and result store."""
 
 import json
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -20,11 +24,13 @@ from repro.analysis.engine import (
     execute_request,
     request_for,
 )
-from repro.analysis.store import ResultStore
+from repro.analysis.store import LOCK_STRIPES, ResultStore
 from repro.core.config import MI6Config
 from repro.core.processor import MI6Processor
+from repro.core import serialization
 from repro.core.serialization import (
     DERIVED,
+    ENCODING_MEMO_LIMIT,
     config_digest,
     config_from_dict,
     config_to_dict,
@@ -32,6 +38,7 @@ from repro.core.serialization import (
     run_to_dict,
 )
 from repro.core.simulator import Simulator
+from repro.mem.config import LlcConfig
 from repro.core.variants import Variant, all_variants, config_for_variant, parse_variant
 
 SMALL = EvaluationSettings(instructions=2500)
@@ -80,6 +87,42 @@ class TestSerialization:
         from_env = EvaluationSettings.from_environment()
         assert from_env.instructions == 1234
         assert from_env.seed == 99
+
+    def test_memoized_keys_tell_equal_values_of_different_types_apart(self):
+        # 16 == 16.0 and True == 1 hash alike, but they encode (and may
+        # simulate) differently, so the config-encoding memo must not
+        # hand one the other's key, whichever is keyed first.
+        as_int = MI6Config(llc=LlcConfig(hit_latency=16))
+        as_float = MI6Config(llc=LlcConfig(hit_latency=16.0))
+        as_bool = MI6Config(flush_on_context_switch=True)
+        as_one = MI6Config(flush_on_context_switch=1)
+        assert as_int == as_float and hash(as_int) == hash(as_float)
+        assert as_bool == as_one and hash(as_bool) == hash(as_one)
+
+        def keys(configs):
+            serialization._ENCODING_MEMO.clear()
+            return [
+                (
+                    RunRequest(config=config, benchmark="gcc", instructions=2000).cache_key(),
+                    config_digest(config),
+                )
+                for config in configs
+            ]
+
+        for pair in ((as_int, as_float), (as_bool, as_one)):
+            forward = keys(pair)
+            assert forward[0][0] != forward[1][0]
+            assert forward[0][1] != forward[1][1]
+            assert keys(pair[::-1])[::-1] == forward
+
+    def test_encoding_memo_stays_bounded(self):
+        for interval in range(ENCODING_MEMO_LIMIT + 10):
+            RunRequest(
+                config=MI6Config(trap_interval_instructions=1_000 + interval),
+                benchmark="gcc",
+                instructions=2000,
+            ).cache_key()
+        assert 0 < len(serialization._ENCODING_MEMO) <= ENCODING_MEMO_LIMIT
 
     def test_parse_variant_accepts_both_spellings(self):
         assert parse_variant("F+P+M+A") is Variant.F_P_M_A
@@ -144,6 +187,18 @@ class TestResultStore:
         assert ResultStore(tmp_path / "cache").get(key) is None
         assert not path.exists()  # corrupt entry dropped
 
+    def test_entry_locks_are_striped_over_a_fixed_set_of_files(self, tmp_path):
+        store = ResultStore(tmp_path / "cache")
+        for index in range(200):
+            store.put_payload("scenario", f"{index:064x}", {"index": index})
+        locks = list((tmp_path / "cache").glob(".lock-*"))
+        assert 0 < len(locks) <= LOCK_STRIPES
+        assert len(list((tmp_path / "cache").glob("scenario-*.json"))) == 200
+        fresh = ResultStore(tmp_path / "cache")
+        assert fresh.get_payload("scenario", f"{7:064x}") == {"index": 7}
+        store.clear_disk()
+        assert not list((tmp_path / "cache").iterdir())
+
     def test_memory_only_store_never_touches_disk(self):
         store = ResultStore.in_memory()
         request = request_for(Variant.BASE, "hmmer", SMALL)
@@ -157,6 +212,60 @@ def run_sweep(runner, spec):
     """Execute a sweep on ``runner`` and index its runs."""
     requests = spec.requests()
     return ExperimentResult(spec=spec, requests=requests, runs=runner.run("run", requests))
+
+
+#: Runs a cold ``Session(jobs=2)`` sweep and scenario request in a fresh
+#: interpreter, snapshotting which simulator modules the parent had
+#: imported each time a process pool opened.
+_FORK_PROBE = """
+import concurrent.futures, json, sys
+from repro.api import ScenarioRequest, Session, SweepRequest
+watched = json.loads(sys.argv[1])
+before = [name for name in watched if name in sys.modules]
+snapshots = []
+
+class Snapshot(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        snapshots.append([name for name in watched if name in sys.modules])
+        super().__init__(*args, **kwargs)
+
+concurrent.futures.ProcessPoolExecutor = Snapshot
+session = Session(jobs=2)
+session.run(SweepRequest(variants=("BASE", "F+P+M+A"), benchmarks=("hmmer",), instructions=2000))
+session.run(ScenarioRequest(scenarios=("spectre",), variants=("BASE", "F+P+M+A")))
+print(json.dumps({"before": before, "snapshots": snapshots}))
+"""
+
+
+class TestForkInheritance:
+    def test_parent_loads_the_simulator_before_opening_a_pool(self, tmp_path):
+        # Forked workers inherit what the parent imported; a parent that
+        # opened its pool before loading the simulator would make every
+        # worker of every cold pool import it again.
+        watched = [
+            "repro.core.processor",
+            "repro.ooo.core",
+            "repro.mem.hierarchy",
+            "repro.workloads.generator",
+            "repro.attacks.coschedule",
+            "repro.mem.llc_detail",
+            "repro.os_model.machine",
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        completed = subprocess.run(
+            [sys.executable, "-c", _FORK_PROBE, json.dumps(watched)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        report = json.loads(completed.stdout.splitlines()[-1])
+        assert report["before"] == []
+        assert len(report["snapshots"]) == 2
+        for snapshot in report["snapshots"]:
+            assert snapshot == watched
 
 
 class TestParallelRunner:
